@@ -1,14 +1,13 @@
-"""Standalone scalar / vectorized / bit-parallel engine benchmark.
+"""Standalone scalar / bit-parallel engine benchmark.
 
 Runs the two hot sampling loops (targeted RR-set generation and IC
-cascade simulation) on a ladder of synthetic configs, four ways each:
+cascade simulation) on a ladder of synthetic configs, three ways each:
 
 * ``scalar`` — the per-sample reference traversals (the correctness
   oracle in :mod:`repro.sketch` / :mod:`repro.diffusion`);
-* ``vectorized`` — the frontier-batched kernels via a serial
-  :class:`~repro.engine.SamplingEngine`;
 * ``bitparallel`` — the 64-worlds-per-word kernels
-  (:mod:`repro.engine.bitworld`) via a serial engine;
+  (:mod:`repro.engine.bitworld`) via a serial
+  :class:`~repro.engine.SamplingEngine`;
 * ``parallel`` — the bit-parallel engine with a process pool fed
   through the zero-copy shared-memory CSR transport
   (:mod:`repro.engine.shared_csr`); pool startup is excluded. Jobs
@@ -16,12 +15,12 @@ cascade simulation) on a ladder of synthetic configs, four ways each:
   in-process path — ``parallel_fell_back`` says when that happened,
   and the gated configs are sized so it must stay ``false``.
 
-A fifth measurement times **incremental sketch repair** against a cold
+A fourth measurement times **incremental sketch repair** against a cold
 rebuild after a sparse edit batch (see ``docs/mutability.md``); its
 speedup is reported as ``incremental_repair_speedup`` and gated.
 
 Timings use interleaved min-of-repeats: each repeat cycles through all
-four variants back-to-back, and the minimum per variant is reported.
+three variants back-to-back, and the minimum per variant is reported.
 On noisy shared boxes this is far more stable than timing each variant
 in its own contiguous block (drift hits all variants equally).
 
@@ -31,8 +30,8 @@ bit-parallel RR speedup, pool fan-out, no leaked segments). Usage::
 
     PYTHONPATH=src:. python benchmarks/bench_engine.py --quick
     PYTHONPATH=src:. python benchmarks/bench_engine.py --quick \
-        --min-speedup 2.0     # legacy gate: exit 1 if the largest
-                              # config's vectorized speedup falls below
+        --min-speedup 2.0     # exit 1 if the largest config's RR or
+                              # cascade bit-parallel speedup falls below
     PYTHONPATH=src:. python benchmarks/bench_engine.py --quick \
         --metrics-out obs.json   # observability report for the run
 """
@@ -70,8 +69,8 @@ def _interleaved_min(fns: dict, repeats: int) -> dict:
     """Min wall time per variant, interleaving variants each repeat.
 
     A contiguous per-variant loop lets slow drift (thermal, noisy
-    neighbours) bias whole variants; cycling scalar→vectorized→bit→pool
-    every repeat spreads the noise across all of them, and min-of-N
+    neighbours) bias whole variants; cycling scalar→bit→pool every
+    repeat spreads the noise across all of them, and min-of-N
     discards the noise entirely.
     """
     best = {name: float("inf") for name in fns}
@@ -116,7 +115,6 @@ def bench_config(
             for _ in range(num_cascades)
         ]
 
-    serial_vec = SamplingEngine(mode="vectorized", workers=1)
     # One shard for the serial bit-parallel leg: shard bookkeeping
     # (per-shard root draws, live-CSR rebuilds, collector stitching)
     # belongs to the pooled measurement, not the kernel one.
@@ -147,19 +145,16 @@ def bench_config(
 
     # Warm all engines (CSR caches, process pool, shared segments)
     # outside the timing.
-    rr_engine(serial_vec)()
     rr_engine(serial_bit)()
     rr_engine(pooled)()
 
     rr_fns = {
         "scalar": rr_scalar,
-        "vectorized": rr_engine(serial_vec),
         "bitparallel": rr_engine(serial_bit),
         "parallel": rr_engine(pooled),
     }
     cascade_fns = {
         "scalar": cascade_scalar,
-        "vectorized": cascade_engine(serial_vec),
         "bitparallel": cascade_engine(serial_bit),
         "parallel": cascade_engine(pooled),
     }
@@ -186,7 +181,7 @@ def bench_config(
     }
     for section in ("rr", "cascade"):
         timings = result[section]
-        for name in ("vectorized", "bitparallel", "parallel"):
+        for name in ("bitparallel", "parallel"):
             timings[f"{name}_speedup"] = round(
                 timings["scalar_s"] / timings[f"{name}_s"], 2
             )
@@ -195,7 +190,6 @@ def bench_config(
     # parallel_threshold). The gated configs must keep this false —
     # it proves the shared-memory fan-out was actually measured.
     result["parallel_fell_back"] = pooled.telemetry.parallel_fallbacks > 0
-    serial_vec.close()
     serial_bit.close()
     pooled.close()
     # Every shared segment the pooled engine created must be unlinked
@@ -307,7 +301,7 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default="BENCH_engine.json")
     parser.add_argument(
         "--min-speedup", type=float, default=None,
-        help="exit non-zero unless the largest config's vectorized "
+        help="exit non-zero unless the largest config's bit-parallel "
              "speedup meets this for both RR and cascade",
     )
     parser.add_argument(
@@ -376,8 +370,8 @@ def main(argv=None) -> int:
     out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
     header = (
-        f"{'config':<14}{'case':<10}{'scalar s':>10}{'vector s':>10}"
-        f"{'bit s':>10}{'par s':>10}{'vec x':>8}{'bit x':>8}{'par x':>8}"
+        f"{'config':<14}{'case':<10}{'scalar s':>10}"
+        f"{'bit s':>10}{'par s':>10}{'bit x':>8}{'par x':>8}"
     )
     print("\n" + header)
     print("-" * len(header))
@@ -386,9 +380,8 @@ def main(argv=None) -> int:
             t = row[section]
             print(
                 f"{row['config']:<14}{section:<10}"
-                f"{t['scalar_s']:>10.4f}{t['vectorized_s']:>10.4f}"
+                f"{t['scalar_s']:>10.4f}"
                 f"{t['bitparallel_s']:>10.4f}{t['parallel_s']:>10.4f}"
-                f"{t['vectorized_speedup']:>8.2f}"
                 f"{t['bitparallel_speedup']:>8.2f}"
                 f"{t['parallel_speedup']:>8.2f}"
             )
@@ -415,18 +408,18 @@ def main(argv=None) -> int:
     if args.min_speedup is not None:
         largest = results[-1]
         worst = min(
-            largest["rr"]["vectorized_speedup"],
-            largest["cascade"]["vectorized_speedup"],
+            largest["rr"]["bitparallel_speedup"],
+            largest["cascade"]["bitparallel_speedup"],
         )
         if worst < args.min_speedup:
             print(
-                f"FAIL: vectorized speedup {worst:.2f}x on "
+                f"FAIL: bit-parallel speedup {worst:.2f}x on "
                 f"{largest['config']} below required "
                 f"{args.min_speedup:.2f}x"
             )
             return 1
         print(
-            f"OK: vectorized speedup {worst:.2f}x on {largest['config']} "
+            f"OK: bit-parallel speedup {worst:.2f}x on {largest['config']} "
             f"meets {args.min_speedup:.2f}x"
         )
     return 0

@@ -15,13 +15,7 @@ import numpy as np
 from benchmarks._harness import SKETCH, dataset
 from repro.datasets import bfs_targets
 from repro.diffusion import simulate_cascade
-from repro.engine import (
-    SamplingEngine,
-    batched_cascade_counts,
-    batched_rr_members,
-    cascade_frontier,
-    rr_frontier,
-)
+from repro.engine import SamplingEngine
 from repro.index import make_ltrs_manager
 from repro.index.itrs import _hybrid_rr_set
 from repro.sketch import reverse_reachable_set
@@ -88,21 +82,6 @@ def test_micro_path_enumeration(benchmark):
     assert isinstance(found, dict)
 
 
-def test_micro_ic_cascade_vectorized(benchmark):
-    graph, _targets, _tags, probs = _setup()
-    rng = np.random.default_rng(0)
-    active = benchmark(cascade_frontier, graph, [0, 1, 2], probs, rng)
-    assert active.shape == (graph.num_nodes,)
-
-
-def test_micro_rr_set_vectorized(benchmark):
-    graph, targets, _tags, probs = _setup()
-    rng = np.random.default_rng(0)
-    root = int(targets[0])
-    rr = benchmark(rr_frontier, graph, root, probs, rng)
-    assert root in rr.tolist()
-
-
 def test_micro_rr_batch_scalar(benchmark):
     """100 RR samples, one scalar traversal per sample (the old path)."""
     graph, targets, _tags, probs = _setup()
@@ -118,35 +97,12 @@ def test_micro_rr_batch_scalar(benchmark):
     assert len(sets) == 100
 
 
-def test_micro_rr_batch_vectorized(benchmark):
-    """The same 100 samples advanced together, level-synchronously."""
-    graph, targets, _tags, probs = _setup()
-    rng = np.random.default_rng(0)
-    roots = np.asarray(rng.choice(targets, size=100), dtype=np.int64)
-    members, indptr = benchmark(
-        batched_rr_members, graph, roots, probs, rng
-    )
-    assert indptr.size == 101
-
-
-def test_micro_cascade_batch_vectorized(benchmark):
-    graph, targets, _tags, probs = _setup()
-    rng = np.random.default_rng(0)
-    target_arr = np.asarray(targets, dtype=np.int64)
-    counts = benchmark(
-        batched_cascade_counts,
-        graph, np.array([0, 1, 2], dtype=np.int64), probs, 100,
-        target_arr, rng,
-    )
-    assert counts.size == 100
-
-
 def test_micro_rr_batch_parallel(benchmark):
     """The sharded driver end to end (pool startup amortized outside)."""
     graph, targets, _tags, probs = _setup()
     target_arr = np.asarray(targets, dtype=np.int64)
     with SamplingEngine(
-        mode="vectorized", workers=2, shard_size=64
+        mode="bitparallel", workers=2, shard_size=64
     ) as engine:
         engine.sample_rr_sets(graph, target_arr, probs, 8, rng=0)  # warm up
         rr = benchmark(

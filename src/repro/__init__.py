@@ -25,8 +25,8 @@ Package map
 ``repro.index``
     Per-tag possible-world indexing: I-TRS, L-TRS, LL-TRS.
 ``repro.engine``
-    Vectorized frontier-batched sampling substrate with optional
-    multi-process fan-out (``SamplingEngine``, ``RRCollection``).
+    Bit-parallel sampling substrate with optional multi-process
+    fan-out (``SamplingEngine``, ``RRCollection``).
 ``repro.seeds`` / ``repro.tags``
     Seed finding and tag finding (batch-paths vs individual-paths).
 ``repro.core``

@@ -116,17 +116,19 @@ def _parse_tags(text: str) -> list[str]:
 def _make_sampler(args: argparse.Namespace):
     """Build a ``SamplingEngine`` from the sampler/runtime flags, or None.
 
-    ``--retries`` or ``--checkpoint-dir`` without an explicit
-    ``--sampler`` implies the vectorized engine — the runtime layer
-    lives on the engine, so asking for it opts in.
+    ``--retries``, ``--checkpoint-dir`` or ``--workers N`` (N > 1)
+    without an explicit ``--sampler`` implies the bit-parallel engine —
+    the runtime layer and the worker pool live on the engine, so asking
+    for them opts in.
     """
     mode = getattr(args, "sampler", None)
     retries = getattr(args, "retries", None)
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
+    workers = getattr(args, "workers", 1)
     if mode is None:
-        if retries is None and checkpoint_dir is None:
+        if retries is None and checkpoint_dir is None and workers <= 1:
             return None
-        mode = "vectorized"
+        mode = "bitparallel"
     from repro.engine.parallel import SamplingEngine
 
     retry_policy = None
@@ -143,7 +145,7 @@ def _make_sampler(args: argparse.Namespace):
         )
     return SamplingEngine(
         mode=mode,
-        workers=getattr(args, "workers", 1),
+        workers=workers,
         retry_policy=retry_policy,
         checkpoint=checkpoint,
     )
@@ -199,28 +201,31 @@ def build_parser() -> argparse.ArgumentParser:
     def add_sampler(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--sampler",
-            choices=("scalar", "vectorized", "bitparallel"),
+            choices=("scalar", "bitparallel"),
             default=None,
             help=(
-                "sampling substrate: 'vectorized' runs frontier-batched "
-                "numpy kernels, 'bitparallel' packs 64 possible worlds "
-                "per machine word (fastest); default keeps the scalar "
-                "reference path"
+                "sampling substrate: 'bitparallel' packs 64 possible "
+                "worlds per machine word, 'scalar' runs the reference "
+                "loops through the engine; default keeps the scalar "
+                "library path unless --workers, --retries or "
+                "--checkpoint-dir ask for the engine"
             ),
         )
         p.add_argument(
             "--workers", type=int, default=1,
             help=(
-                "worker processes for the vectorized/bitparallel "
-                "samplers (default 1); multi-worker runs share the "
-                "graph via shared memory"
+                "worker processes (default 1): for seeds, joint, "
+                "spread and compare the sampling-engine pool size "
+                "(N > 1 implies --sampler bitparallel; workers share "
+                "the graph via shared memory); for serve the size of "
+                "the sharded fleet"
             ),
         )
         p.add_argument(
             "--retries", type=int, default=None,
             help=(
                 "retries per shard for transient failures (implies "
-                "--sampler vectorized; engine default is 2)"
+                "--sampler bitparallel; engine default is 2)"
             ),
         )
         p.add_argument(
@@ -238,14 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
             "--checkpoint-dir", default=None,
             help=(
                 "directory for shard-granular checkpoints (implies "
-                "--sampler vectorized)"
+                "--sampler bitparallel)"
             ),
         )
         p.add_argument(
             "--resume", action="store_true",
             help=(
-                "resume from matching checkpoints in --checkpoint-dir; "
-                "the spliced run is bit-identical to an uninterrupted one"
+                "resume from matching checkpoints in --checkpoint-dir "
+                "(required); the spliced run is bit-identical to an "
+                "uninterrupted one"
             ),
         )
 
@@ -1230,7 +1236,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     result is printed first), ``130`` interrupted by Ctrl-C/SIGTERM
     (checkpoints, if configured, are flushed before exiting).
     """
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "resume", False) and args.checkpoint_dir is None:
+        parser.error("--resume requires --checkpoint-dir")
     _install_sigterm_handler()
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics_out", None)

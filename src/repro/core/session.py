@@ -44,7 +44,7 @@ class CampaignSession:
     sampler:
         Optional :class:`~repro.engine.SamplingEngine` shared by every
         query of the session: seed selections sample RR sets and spread
-        checks run cascades through it (frontier-batched, and sharded
+        checks run cascades through it (bit-parallel, and sharded
         across its worker pool when ``workers > 1``). The determinism
         contract carries over — a session with a fixed seed replays
         identically for any worker count. A sampler built with a

@@ -71,7 +71,7 @@ def estimate_spread(
         ``None`` and no per-call target validation or sorting happens.
     engine:
         Optional :class:`~repro.engine.SamplingEngine`: cascades are
-        then simulated frontier-batched (and sharded across processes
+        then simulated through the engine (and sharded across processes
         for ``workers > 1``) instead of one scalar BFS per sample.
     budget:
         Optional :class:`~repro.engine.RunBudget`. A tripped limit

@@ -1,10 +1,7 @@
-"""Vectorized frontier-batched sampling engine with parallel fan-out.
+"""Bit-parallel sampling engine with parallel fan-out.
 
 This package is the performance layer of the reproduction:
 
-* :mod:`repro.engine.frontier` — level-synchronous BFS kernels that
-  expand whole frontiers with numpy CSR gathers and flip all frontier
-  coins in one call (no per-edge Python loop);
 * :mod:`repro.engine.bitworld` — bit-parallel possible-world kernels:
   64 worlds per uint64 word, counter-based coins (pure function of
   ``(key, world, edge)``), popcount size accounting; one traversal
@@ -43,18 +40,11 @@ to opt into this layer.
 
 from repro.engine.checkpoint import CheckpointManager, rng_state_digest
 from repro.engine.faults import FaultPlan, InjectedFault, InjectedPermanentFault
-from repro.engine.frontier import (
-    batched_cascade_counts,
-    batched_rr_members,
+from repro.engine.bitworld import (
     bitparallel_cascade_counts,
     bitparallel_rr_members,
-    cascade_frontier,
-    hybrid_rr_frontier,
-    rr_fixed_frontier,
-    rr_frontier,
 )
 from repro.engine.parallel import (
-    DEFAULT_BITPARALLEL_SHARD_SIZE,
     DEFAULT_SHARD_SIZE,
     MODES,
     QueryEngineView,
@@ -77,7 +67,6 @@ from repro.engine.runtime import (
 )
 
 __all__ = [
-    "DEFAULT_BITPARALLEL_SHARD_SIZE",
     "DEFAULT_SHARD_SIZE",
     "MODES",
     "CSRGraphHandle",
@@ -97,13 +86,7 @@ __all__ = [
     "SharedProbs",
     "SharedTagGraph",
     "TagGraphHandle",
-    "batched_cascade_counts",
-    "batched_rr_members",
     "bitparallel_cascade_counts",
     "bitparallel_rr_members",
-    "cascade_frontier",
-    "hybrid_rr_frontier",
     "rng_state_digest",
-    "rr_fixed_frontier",
-    "rr_frontier",
 ]

@@ -1,9 +1,9 @@
 """Bit-parallel possible-world kernels: 64 worlds per ``uint64`` lane.
 
 Every sampling primitive in this repo asks the same question many times
-over: *in a random possible world, who reaches whom?* The scalar and
-frontier-batched kernels answer it one world at a time. The kernels
-here pack **64 independent possible worlds into one machine word**: bit
+over: *in a random possible world, who reaches whom?* The scalar oracle
+answers it one world at a time. The kernels here pack **64 independent
+possible worlds into one machine word**: bit
 ``b`` of ``mask[v]`` means "node ``v`` is reached in world ``b`` of the
 current block", so a single bitwise OR advances 64 BFS traversals at
 once and a single popcount accounts 64 sample sizes.
@@ -38,11 +38,17 @@ frontier collapses from ``O(samples)`` to ``O(distinct (block, node))``
 rows. The slot permutation is deterministic (stable sort), recorded via
 :func:`rr_world_of_sample`, and inverted during collection so sample
 ``i`` keeps its drawn root.
+
+:func:`bitparallel_rr_members` and :func:`bitparallel_cascade_counts`
+are the graph-level fronts the sampling engine calls per shard.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.obs.profile import kernel_timer
+from repro.utils.validation import check_node_array
 
 U64 = np.uint64
 _ONE = U64(1)
@@ -66,7 +72,7 @@ ROW_MODE_LANES = 16.0
 ROW_DENSE_LANES = 32.0
 
 #: Soft cap on the ``blocks * nodes`` uint64 visited words of one block
-#: batch (32 MiB), mirroring ``frontier.DEFAULT_BATCH_CELLS``.
+#: batch (32 MiB).
 DEFAULT_BLOCK_CELLS = 1 << 22
 
 
@@ -600,3 +606,67 @@ def bit_cascade_counts(
         hi = min(block_hi * 64, num_samples)
         counts[lo:hi] = lane_counts[: hi - lo]
     return counts
+
+
+# ----------------------------------------------------------------------
+# Graph-level fronts (what the sampling engine calls per shard)
+# ----------------------------------------------------------------------
+def bitparallel_rr_members(
+    graph,
+    roots: np.ndarray,
+    edge_probs: np.ndarray,
+    key: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one RR set per root with the bit-parallel world kernel.
+
+    Returns flat CSR ``(members, indptr)``: ``members[indptr[i]:
+    indptr[i+1]]`` is sample ``i``'s RR set, root first. The coins come
+    from the counter-based stream keyed by ``key``, so the result is
+    deterministic in ``(roots, edge_probs, key)`` alone, with no
+    generator state to thread.
+
+    ``graph`` may be a :class:`~repro.graphs.tag_graph.TagGraph` or a
+    :class:`~repro.engine.shared_csr.CSRGraphView`.
+    """
+    roots = np.asarray(roots, dtype=np.int64)
+    check_node_array(roots, graph.num_nodes,
+                     context="bitparallel_rr_members")
+    rev_indptr, rev_edges = graph.reverse_csr()
+    with kernel_timer("kernel.bitworld_rr"):
+        thr53 = coin_thresholds(edge_probs)
+        live_indptr, live_edges = live_csr(rev_indptr, rev_edges, edge_probs)
+        return bit_rr_members(
+            graph.num_nodes, graph.num_edges, live_indptr, live_edges,
+            graph.src, roots, thr53, key,
+        )
+
+
+def bitparallel_cascade_counts(
+    graph,
+    seeds: np.ndarray,
+    edge_probs: np.ndarray,
+    num_samples: int,
+    target_arr: np.ndarray,
+    key: int,
+) -> np.ndarray:
+    """Run ``num_samples`` IC cascades bit-parallel; count targets each.
+
+    Returns an int array of length ``num_samples`` with the number of
+    activated targets per cascade. Cascade ``i`` lives in lane
+    ``i % 64`` of world block ``i // 64`` and the coin for edge ``e``
+    in that world is a pure function of ``(key, i, e)``.
+    """
+    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+    check_node_array(seeds, graph.num_nodes,
+                     context="bitparallel_cascade_counts")
+    target_arr = np.asarray(target_arr, dtype=np.int64)
+    if seeds.size == 0 or num_samples <= 0:
+        return np.zeros(max(num_samples, 0), dtype=np.int64)
+    fwd_indptr, fwd_edges = graph.forward_csr()
+    with kernel_timer("kernel.bitworld_cascade"):
+        thr53 = coin_thresholds(edge_probs)
+        live_indptr, live_edges = live_csr(fwd_indptr, fwd_edges, edge_probs)
+        return bit_cascade_counts(
+            graph.num_nodes, graph.num_edges, live_indptr, live_edges,
+            graph.dst, seeds, num_samples, target_arr, thr53, key,
+        )

@@ -25,17 +25,14 @@ Results are concatenated in shard order. Consequences:
 * successive calls on one engine with a shared generator consume the
   generator's spawn counter, so a session remains replayable end to end.
 
-The ``mode`` knob selects the per-shard kernel: ``"vectorized"`` uses
-the frontier-batched kernels of :mod:`repro.engine.frontier`;
-``"bitparallel"`` packs 64 possible worlds per uint64 word with
-counter-based coins (:mod:`repro.engine.bitworld`) — the fastest
-substrate; ``"scalar"`` runs the original per-edge Python loops (the
-correctness oracle), which keeps cross-mode comparisons honest under
-the identical sharding and driver overheads.
+The ``mode`` knob selects the per-shard kernel: ``"bitparallel"`` (the
+default) packs 64 possible worlds per uint64 word with counter-based
+coins (:mod:`repro.engine.bitworld`); ``"scalar"`` runs the original
+per-edge Python loops (the correctness oracle), which keeps cross-mode
+comparisons honest under the identical sharding and driver overheads.
 
-Multi-worker engines in the shared-memory-capable modes (vectorized,
-bit-parallel) do not pickle the graph into shard tasks. The engine
-publishes each graph's CSR arrays once through
+Multi-worker bit-parallel engines do not pickle the graph into shard
+tasks. The engine publishes each graph's CSR arrays once through
 :class:`~repro.engine.shared_csr.SharedCSR` and ships a tiny attach
 handle instead; every worker maps the same physical pages read-only.
 The per-operation probability vector travels the same way and is
@@ -53,9 +50,7 @@ import numpy as np
 from repro import obs
 from repro.engine.checkpoint import CheckpointManager, rng_state_digest
 from repro.engine.faults import FaultPlan
-from repro.engine.frontier import (
-    batched_cascade_counts,
-    batched_rr_members,
+from repro.engine.bitworld import (
     bitparallel_cascade_counts,
     bitparallel_rr_members,
 )
@@ -78,31 +73,25 @@ from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.graphs.tag_graph import TagGraph
 from repro.utils.rng import ensure_rng, spawn_seed_sequences
 
-MODES = ("scalar", "vectorized", "bitparallel")
+MODES = ("scalar", "bitparallel")
 
-#: Default samples per shard. Small enough that a handful of shards
-#: exist even at pilot sizes (so ``workers=4`` has work to spread),
-#: large enough that per-shard dispatch overhead is negligible.
-DEFAULT_SHARD_SIZE = 512
-
-#: Default samples per shard for the bit-parallel kernel. Each uint64
-#: word carries 64 worlds, so a 512-sample shard would use only 8
-#: blocks — too little work to amortize the per-level numpy overhead.
-#: 8192 samples = 128 blocks keeps the kernel in its efficient regime
-#: while still producing multiple shards at realistic θ. Like
-#: ``shard_size`` generally, this is part of the determinism contract.
-DEFAULT_BITPARALLEL_SHARD_SIZE = 8192
+#: Default samples per shard. Each uint64 word of the bit-parallel
+#: kernel carries 64 worlds, so 8192 samples = 128 blocks keeps the
+#: kernel in its efficient regime while still producing multiple shards
+#: at realistic θ. Like ``shard_size`` generally, this is part of the
+#: determinism contract.
+DEFAULT_SHARD_SIZE = 8192
 
 #: Below this many total samples, pool dispatch costs more than the
 #: sampling itself (``BENCH_engine.json`` showed parallel_speedup
-#: 0.04-0.78 on the quick configs), so a multi-worker engine falls
-#: back to the in-process vectorized path. Results are unaffected —
+#: 0.04-0.78 on the quick configs), so a multi-worker engine runs the
+#: operation in-process instead. Results are unaffected —
 #: the determinism contract already guarantees serial == pooled.
 DEFAULT_PARALLEL_THRESHOLD = 4096
 
 #: Pickle-transport surcharge for modes that ship the whole graph into
-#: every shard task (currently only ``"scalar"``; the vectorized and
-#: bit-parallel modes attach to a :class:`SharedCSR` by name instead).
+#: every shard task (only ``"scalar"``; the bit-parallel mode attaches
+#: to a :class:`SharedCSR` by name instead).
 #: Serializing + deserializing one edge costs about as much as sampling
 #: 1/200th of a sample on the evaluation graphs, so an operation must
 #: bring at least ``num_edges / 200`` extra samples of work before the
@@ -129,7 +118,6 @@ def _rr_shard(
     count: int,
     seed_seq: np.random.SeedSequence,
     mode: str,
-    batch_size: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One shard of RR samples; module-level so process pools can pickle it.
 
@@ -153,15 +141,11 @@ def _rr_shard(
         ]
         flat = RRCollection.from_sets(sets, graph.num_nodes)
         return flat.members, flat.indptr
-    if mode == "bitparallel":
-        # The coin-stream key is drawn *after* the roots from the same
-        # shard stream, so the (roots, key) pair is a pure function of
-        # seed_seq — replayable across retries and worker counts.
-        key = int(rng.integers(np.iinfo(np.int64).max, dtype=np.int64))
-        return bitparallel_rr_members(graph, roots, edge_probs, key)
-    return batched_rr_members(
-        graph, roots, edge_probs, rng, batch_size=batch_size
-    )
+    # The coin-stream key is drawn *after* the roots from the same
+    # shard stream, so the (roots, key) pair is a pure function of
+    # seed_seq — replayable across retries and worker counts.
+    key = int(rng.integers(np.iinfo(np.int64).max, dtype=np.int64))
+    return bitparallel_rr_members(graph, roots, edge_probs, key)
 
 
 def _cascade_shard(
@@ -172,7 +156,6 @@ def _cascade_shard(
     target_arr: np.ndarray,
     seed_seq: np.random.SeedSequence,
     mode: str,
-    batch_size: int | None,
 ) -> np.ndarray:
     """One shard of IC cascades; returns per-sample target counts."""
     graph = resolve_graph(graph)
@@ -186,14 +169,9 @@ def _cascade_shard(
             active = simulate_cascade(graph, seed_arr, edge_probs, rng)
             counts[i] = int(active[target_arr].sum())
         return counts
-    if mode == "bitparallel":
-        key = int(rng.integers(np.iinfo(np.int64).max, dtype=np.int64))
-        return bitparallel_cascade_counts(
-            graph, seed_arr, edge_probs, count, target_arr, key
-        )
-    return batched_cascade_counts(
-        graph, seed_arr, edge_probs, count, target_arr, rng,
-        batch_size=batch_size,
+    key = int(rng.integers(np.iinfo(np.int64).max, dtype=np.int64))
+    return bitparallel_cascade_counts(
+        graph, seed_arr, edge_probs, count, target_arr, key
     )
 
 
@@ -238,33 +216,26 @@ def _split_count_prefix(
 
 
 class SamplingEngine:
-    """Frontier-batched, optionally multi-process sampling driver.
+    """Bit-parallel, optionally multi-process sampling driver.
 
     Parameters
     ----------
     mode:
-        ``"vectorized"`` (frontier-batched numpy kernels, the default),
         ``"bitparallel"`` (64 possible worlds per uint64 word, the
-        fastest substrate — see :mod:`repro.engine.bitworld`) or
-        ``"scalar"`` (the original Python loops, as oracle).
+        default — see :mod:`repro.engine.bitworld`) or ``"scalar"``
+        (the original Python loops, as oracle).
     workers:
         Process count; ``1`` (default) runs in-process. Results are
         identical for any value — see the module determinism contract.
-        Multi-worker engines in the vectorized and bit-parallel modes
-        publish the graph's CSR structure once through a
-        :class:`~repro.engine.shared_csr.SharedCSR` and ship tiny
-        handles in shard tasks instead of pickling the graph.
+        Multi-worker bit-parallel engines publish the graph's CSR
+        structure once through a
+        :class:`~repro.engine.shared_csr.SharedCSR` and ship tiny handles
+        in shard tasks instead of pickling the graph.
     shard_size:
         Samples per shard; ``None`` (default) resolves to
-        :data:`DEFAULT_SHARD_SIZE` (or
-        :data:`DEFAULT_BITPARALLEL_SHARD_SIZE` for the bit-parallel
-        mode). Part of the determinism contract: changing it changes
-        the RNG stream layout, so outputs for a fixed seed are only
-        comparable at equal ``shard_size``.
-    batch_size:
-        Samples per frontier batch inside a shard (vectorized mode);
-        ``None`` sizes batches from the node count automatically.
-        Does not affect results, only memory/locality.
+        :data:`DEFAULT_SHARD_SIZE`. Part of the determinism contract:
+        changing it changes the RNG stream layout, so outputs for a
+        fixed seed are only comparable at equal ``shard_size``.
     retry_policy:
         :class:`~repro.engine.runtime.RetryPolicy` governing shard
         retries, backoff, pool rebuilds, the hung-shard watchdog and
@@ -305,10 +276,9 @@ class SamplingEngine:
 
     def __init__(
         self,
-        mode: str = "vectorized",
+        mode: str = "bitparallel",
         workers: int = 1,
         shard_size: int | None = None,
-        batch_size: int | None = None,
         retry_policy: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         checkpoint: CheckpointManager | None = None,
@@ -324,11 +294,7 @@ class SamplingEngine:
                 f"workers must be >= 1, got {workers}"
             )
         if shard_size is None:
-            shard_size = (
-                DEFAULT_BITPARALLEL_SHARD_SIZE
-                if mode == "bitparallel"
-                else DEFAULT_SHARD_SIZE
-            )
+            shard_size = DEFAULT_SHARD_SIZE
         if shard_size < 1:
             raise ConfigurationError(
                 f"shard_size must be >= 1, got {shard_size}"
@@ -340,7 +306,6 @@ class SamplingEngine:
         self.mode = mode
         self.workers = int(workers)
         self.shard_size = int(shard_size)
-        self.batch_size = batch_size
         self.spill_dir = spill_dir
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
@@ -536,9 +501,9 @@ class SamplingEngine:
 
         The scalar mode pickles ``graph`` into every shard task, so its
         break-even point shifts up by ``num_edges /``
-        :data:`TRANSPORT_EDGES_PER_SAMPLE`. The vectorized and
-        bit-parallel modes attach to a :class:`SharedCSR` by name —
-        their transport cost is constant and tiny, so no surcharge.
+        :data:`TRANSPORT_EDGES_PER_SAMPLE`. The bit-parallel mode
+        attaches to a :class:`SharedCSR` by name — its transport cost
+        is constant and tiny, so no surcharge.
         """
         if self.workers > 1 and self.mode == "scalar":
             return int(graph.num_edges) // TRANSPORT_EDGES_PER_SAMPLE
@@ -661,8 +626,7 @@ class SamplingEngine:
             shared_probs = SharedProbs(edge_probs, spill_dir=self.spill_dir)
             probs_ref = shared_probs.handle
         tasks = [
-            (graph_ref, target_arr, probs_ref, count, stream, self.mode,
-             self.batch_size)
+            (graph_ref, target_arr, probs_ref, count, stream, self.mode)
             for count, stream in zip(counts, streams)
         ]
 
@@ -748,7 +712,7 @@ class SamplingEngine:
         shards = [
             _rr_shard(
                 graph, target_arr, edge_probs, counts[i], streams[i],
-                self.mode, self.batch_size,
+                self.mode,
             )
             for i in range(part_index, len(counts), part_count)
         ]
@@ -802,7 +766,7 @@ class SamplingEngine:
             probs_ref = shared_probs.handle
         tasks = [
             (graph_ref, seed_arr, probs_ref, count, target_arr, stream,
-             self.mode, self.batch_size)
+             self.mode)
             for count, stream in zip(counts, streams)
         ]
 
@@ -878,7 +842,7 @@ class QueryEngineView(SamplingEngine):
     """A telemetry-isolated view over a shared :class:`SamplingEngine`.
 
     Created by :meth:`SamplingEngine.for_query`. The view inherits every
-    sampling knob (mode, workers, shard size, batch size, retry policy,
+    sampling knob (mode, workers, shard size, retry policy,
     fault plan, parallel threshold, spill dir) and *delegates pool and
     shared-CSR management to the parent*, so any number of views share
     one set of worker processes and one published copy of each graph.
@@ -903,7 +867,6 @@ class QueryEngineView(SamplingEngine):
         self.mode = parent.mode
         self.workers = parent.workers
         self.shard_size = parent.shard_size
-        self.batch_size = parent.batch_size
         self.retry_policy = parent.retry_policy
         self.fault_plan = parent.fault_plan
         self.checkpoint = None

@@ -147,10 +147,10 @@ def indexed_select_seeds(
         result for correlation diagnostics (Figure 7); costs memory
         proportional to ``θ · r``.
     engine:
-        Optional :class:`~repro.engine.SamplingEngine`. Vectorized mode
-        runs the hybrid traversal frontier-batched and stores RR sets
-        flat; the traversal stays in-process regardless of ``workers``
-        because each working graph is drawn from shared manager state.
+        Optional :class:`~repro.engine.SamplingEngine` for the OPT_T
+        pilot. The hybrid traversal itself stays in-process and scalar
+        regardless of mode and ``workers``, because each working graph
+        is drawn from shared manager state.
     budget:
         Optional :class:`~repro.engine.RunBudget` checked after every
         working-graph traversal; a tripped limit raises
@@ -166,7 +166,6 @@ def indexed_select_seeds(
         targets, graph.num_nodes, context="indexed_select_seeds"
     )
     num_targets = int(target_arr.size)
-    vectorized = engine is not None and engine.mode == "vectorized"
 
     timer = Timer()
     rr_list: list[np.ndarray] = []
@@ -199,13 +198,6 @@ def indexed_select_seeds(
             mask_buffer = np.zeros(graph.num_edges, dtype=bool)
             roots = rng.choice(target_arr, size=theta)
 
-            if vectorized:
-                from repro.engine.frontier import hybrid_rr_frontier
-
-                traverse = hybrid_rr_frontier
-            else:
-                traverse = _hybrid_rr_set
-
             if budget is not None:
                 budget.charge_samples(theta)
             with obs.span("itrs.traverse", theta=theta):
@@ -215,7 +207,7 @@ def indexed_select_seeds(
                         choices_log.append(choices)
                     working = manager.working_mask(choices, out=mask_buffer)
                     rr_list.append(
-                        traverse(
+                        _hybrid_rr_set(
                             graph, int(root), working, covered, edge_probs,
                             rng,
                         )
@@ -224,13 +216,11 @@ def indexed_select_seeds(
                         budget.charge_rr_members(rr_list[-1].size)
             obs.count("itrs.working_graphs", len(rr_list))
             with obs.span("itrs.cover"):
-                rr_sets = _pack_rr(rr_list, graph.num_nodes, vectorized)
-                coverage = greedy_max_coverage(rr_sets, k, graph.num_nodes)
+                coverage = greedy_max_coverage(rr_list, k, graph.num_nodes)
     except BudgetExceededError as exc:
         exc.partial = _partial_indexed_result(
             rr_list, choices_log if record_choices else None, k, graph,
-            num_targets, theta, tc, timer.elapsed, manager, vectorized,
-            engine,
+            num_targets, theta, tc, timer.elapsed, manager, engine,
         )
         raise
 
@@ -247,15 +237,6 @@ def indexed_select_seeds(
     )
 
 
-def _pack_rr(rr_list: list[np.ndarray], num_nodes: int, vectorized: bool):
-    """Flat-store the RR sets when the engine runs vectorized."""
-    if not vectorized:
-        return rr_list
-    from repro.engine.rr_storage import RRCollection
-
-    return RRCollection.from_sets(rr_list, num_nodes)
-
-
 def _partial_indexed_result(
     rr_list: list[np.ndarray],
     choices_log: list[dict[str, int]] | None,
@@ -266,14 +247,12 @@ def _partial_indexed_result(
     tc: int,
     elapsed: float,
     manager: IndexManager,
-    vectorized: bool,
     engine: "SamplingEngine | None",
 ) -> IndexedTRSResult:
     """Best-effort :class:`IndexedTRSResult` from a budget-stopped run."""
     collected = len(rr_list)
     if collected > 0:
-        rr_sets = _pack_rr(rr_list, graph.num_nodes, vectorized)
-        coverage = greedy_max_coverage(rr_sets, min(k, collected),
+        coverage = greedy_max_coverage(rr_list, min(k, collected),
                                        graph.num_nodes)
         seeds = coverage.seeds
         spread = coverage.spread_estimate(num_targets)

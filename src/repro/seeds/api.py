@@ -95,7 +95,7 @@ def find_seeds(
         MC samples per estimation (``greedy-mc`` only).
     sampler:
         Optional :class:`~repro.engine.SamplingEngine` — the
-        frontier-batched / multi-process sampling substrate every
+        bit-parallel / multi-process sampling substrate every
         algorithmic engine above can run on. ``None`` keeps the scalar
         oracle path.
     budget:

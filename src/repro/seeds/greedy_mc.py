@@ -88,7 +88,7 @@ def greedy_mc_select_seeds(
         Enable the CELF++ look-ahead cache on top of plain CELF.
     engine:
         Optional :class:`~repro.engine.SamplingEngine` for
-        frontier-batched (and multi-process) cascade simulation.
+        bit-parallel (and multi-process) cascade simulation.
     budget:
         Optional :class:`~repro.engine.RunBudget` spanning every MC
         evaluation; a tripped limit raises

@@ -51,11 +51,7 @@ from repro.engine.bitworld import (
     rr_world_of_sample,
     world_edge_mask,
 )
-from repro.engine.parallel import (
-    DEFAULT_BITPARALLEL_SHARD_SIZE,
-    DEFAULT_SHARD_SIZE,
-    _shard_counts,
-)
+from repro.engine.parallel import DEFAULT_SHARD_SIZE, _shard_counts
 from repro.engine.rr_storage import RRCollection
 from repro.exceptions import InvalidQueryError
 from repro.graphs.tag_graph import TagGraph
@@ -300,11 +296,7 @@ def build_repairable_sketch(
     else:
         edge_capacity = 0
     if shard_size is None:
-        shard_size = (
-            DEFAULT_BITPARALLEL_SHARD_SIZE
-            if mode == "bitparallel"
-            else DEFAULT_SHARD_SIZE
-        )
+        shard_size = DEFAULT_SHARD_SIZE
 
     master = np.random.default_rng(int(seed))
     counts = _shard_counts(int(theta), int(shard_size))

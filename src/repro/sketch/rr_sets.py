@@ -134,7 +134,7 @@ def sample_rr_sets(
     already hold a validated array (TRS/IMM iterations) should call
     :func:`sample_rr_sets_validated` directly.
 
-    With ``engine`` set, sampling is delegated to the frontier-batched
+    With ``engine`` set, sampling is delegated to the bit-parallel
     (and optionally multi-process) :class:`~repro.engine.SamplingEngine`
     and the result is a flat :class:`~repro.engine.RRCollection` — a
     drop-in sequence of member arrays. Without it, the scalar path
@@ -184,7 +184,7 @@ def sample_rr_sets_validated(
             for root in roots
         ]
         # Same counter names as the engine driver: the scalar oracle
-        # and the vectorized paths must report identical logical work.
+        # and the engine paths must report identical logical work.
         obs.count("rr.samples_drawn", len(sets))
         obs.count("rr.members", sum(s.size for s in sets))
         return sets

@@ -262,7 +262,7 @@ def trs_select_seeds(
         Seed or generator.
     engine:
         Optional :class:`~repro.engine.SamplingEngine` for
-        frontier-batched / multi-process RR sampling. ``None`` keeps the
+        bit-parallel / multi-process RR sampling. ``None`` keeps the
         scalar oracle path (bit-compatible for fixed seeds).
     budget:
         Optional :class:`~repro.engine.RunBudget`. When a limit trips

@@ -1,8 +1,8 @@
 """Bit-parallel world kernels + shared-memory CSR transport tests.
 
-The bit-parallel engine mode is held to a harder standard than the
-vectorized one: it is not merely *distributionally* equivalent to the
-scalar oracle, it is **replayable** — every world (block, lane) defines
+The bit-parallel engine mode is held to a harder standard than mere
+*distributional* equivalence with the scalar oracle: it is
+**replayable** — every world (block, lane) defines
 an edge mask via :func:`repro.engine.bitworld.world_edge_mask`, and the
 scalar fixed-world traversals run on that mask must reproduce each
 sample's RR set / cascade count exactly. The tests here assert that
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.engine import (
-    DEFAULT_BITPARALLEL_SHARD_SIZE,
     DEFAULT_SHARD_SIZE,
     SamplingEngine,
     SharedCSR,
@@ -228,8 +227,9 @@ def test_bitparallel_cascades_identical_across_workers(
 
 def test_bitparallel_default_shard_size():
     engine = SamplingEngine(mode="bitparallel")
-    assert engine.shard_size == DEFAULT_BITPARALLEL_SHARD_SIZE
-    assert SamplingEngine(mode="vectorized").shard_size == DEFAULT_SHARD_SIZE
+    assert engine.shard_size == DEFAULT_SHARD_SIZE == 8192
+    assert SamplingEngine(mode="scalar").shard_size == DEFAULT_SHARD_SIZE
+    assert SamplingEngine().mode == "bitparallel"
 
 
 # ---------------------------------------------------------------------------

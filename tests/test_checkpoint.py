@@ -29,7 +29,7 @@ from repro.utils.validation import as_target_array
 
 FAST = RetryPolicy(backoff_base=0.001, backoff_max=0.005, jitter=0.0)
 
-SIG = {"kind": "rr", "theta": 64, "mode": "vectorized"}
+SIG = {"kind": "rr", "theta": 64, "mode": "bitparallel"}
 
 
 def _arrays(n=5, seed=0):

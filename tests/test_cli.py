@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _make_sampler, build_parser, main
 from repro.graphs import load_tag_graph
 
 
@@ -62,6 +62,56 @@ class TestSeedsCommand:
              "-k", "1", "--tags", tags, "--engine", engine]
         )
         assert code == 0
+
+
+class TestSamplerFlags:
+    @pytest.mark.parametrize("argv", [
+        ["seeds", "g.tsv", "--targets-file", "t", "--tags", "a", "-k", "2"],
+        ["joint", "g.tsv", "--targets-file", "t", "-k", "2", "-r", "2"],
+        ["spread", "g.tsv", "--targets-file", "t", "--seeds", "0",
+         "--tags", "a"],
+        ["compare", "g.tsv", "--targets-file", "t", "--tags", "a",
+         "-k", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_workers_implies_engine(self, argv):
+        parser = build_parser()
+        assert _make_sampler(parser.parse_args(argv)) is None
+        sampler = _make_sampler(parser.parse_args(argv + ["--workers", "2"]))
+        try:
+            assert sampler.mode == "bitparallel"
+            assert sampler.workers == 2
+        finally:
+            sampler.close()
+
+    def test_workers_run_matches_serial_engine(self, workspace, capsys):
+        graph_path, targets_path = workspace
+        graph = load_tag_graph(graph_path)
+        argv = ["seeds", str(graph_path), "--targets-file", str(targets_path),
+                "-k", "2", "--tags", ",".join(graph.tags[:3]), "--seed", "0"]
+        assert main(argv + ["--workers", "2"]) == 0
+        pooled = capsys.readouterr().out.splitlines()[:2]
+        assert main(argv + ["--sampler", "bitparallel"]) == 0
+        serial = capsys.readouterr().out.splitlines()[:2]
+        assert pooled == serial
+
+    def test_resume_without_checkpoint_dir_is_usage_error(
+        self, workspace, capsys
+    ):
+        graph_path, targets_path = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["seeds", str(graph_path), "--targets-file",
+                  str(targets_path), "-k", "1", "--tags", "a", "--resume"])
+        assert exc.value.code == 2
+        assert "--checkpoint-dir" in capsys.readouterr().err
+
+    def test_removed_sampler_mode_is_usage_error(self, workspace, capsys):
+        graph_path, targets_path = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["seeds", str(graph_path), "--targets-file",
+                  str(targets_path), "-k", "1", "--tags", "a",
+                  "--sampler", "vectorized"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestTagsCommand:

@@ -339,7 +339,7 @@ def traced_fleet():
     service = ShardedCampaignService(
         GRAPH,
         workers=2,
-        spec=WorkerSpec(config=CONFIG, engine_mode="vectorized"),
+        spec=WorkerSpec(config=CONFIG, engine_mode="bitparallel"),
         tracing=True,
     )
     yield service
@@ -351,7 +351,7 @@ def plain_fleet():
     service = ShardedCampaignService(
         GRAPH,
         workers=2,
-        spec=WorkerSpec(config=CONFIG, engine_mode="vectorized"),
+        spec=WorkerSpec(config=CONFIG, engine_mode="bitparallel"),
     )
     yield service
     service.close()
@@ -451,7 +451,7 @@ class TestRespawnMidStream:
         service = ShardedCampaignService(
             GRAPH,
             workers=2,
-            spec=WorkerSpec(config=CONFIG, engine_mode="vectorized"),
+            spec=WorkerSpec(config=CONFIG, engine_mode="bitparallel"),
             tracing=True,
         )
         try:

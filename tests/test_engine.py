@@ -1,12 +1,13 @@
-"""Equivalence tests for the vectorized frontier-batched sampling engine.
+"""Equivalence tests for the sampling engine.
 
 Three layers of evidence, mirroring ROADMAP's "scalar path is the
 correctness oracle" stance:
 
-* *fixed-world* equivalence — with all coins removed (a deterministic
-  edge mask), the vectorized traversals must return exactly the same
-  node sets as the scalar ones, on every graph;
-* *distributional* equivalence — with coins, vectorized estimates must
+* *certain-world* equivalence — with probability-1 edges, the
+  bit-parallel kernels must return exactly the same node sets as the
+  scalar traversals (per-lane replay against the fixed-world oracle
+  lives in ``test_bitworld.py``);
+* *distributional* equivalence — with coins, engine estimates must
   converge to the exact possible-world oracle on enumerable graphs;
 * *determinism* — the parallel driver must be bit-identical across
   worker counts for a fixed master seed, and the flat greedy coverage
@@ -26,61 +27,47 @@ from repro.diffusion.monte_carlo import estimate_spread, target_mask
 from repro.engine import (
     RRCollection,
     SamplingEngine,
-    batched_cascade_counts,
-    batched_rr_members,
-    cascade_frontier,
-    rr_fixed_frontier,
-    rr_frontier,
+    bitparallel_cascade_counts,
+    bitparallel_rr_members,
 )
 from repro.engine.parallel import _shard_counts
+from repro.exceptions import ConfigurationError
 from repro.graphs import TagGraphBuilder
-from repro.sketch import greedy_max_coverage, rr_set_from_edge_mask
+from repro.sketch import greedy_max_coverage
 from repro.utils.validation import as_target_array
 
 # ---------------------------------------------------------------------------
-# Fixed-world equivalence: vectorized vs scalar traversal
+# Certain-world equivalence: bit-parallel vs scalar traversal
 # ---------------------------------------------------------------------------
-
-
-def test_fixed_world_matches_scalar_on_yelp(small_yelp):
-    graph = small_yelp.graph
-    rng = np.random.default_rng(42)
-    edge_probs = graph.edge_probabilities(list(graph.tags[:4]))
-    for trial in range(10):
-        mask = rng.random(graph.num_edges) < edge_probs
-        root = int(rng.integers(graph.num_nodes))
-        scalar = rr_set_from_edge_mask(graph, root, mask)
-        vector = rr_fixed_frontier(graph, root, mask)
-        assert set(scalar.tolist()) == set(vector.tolist())
 
 
 def test_certain_world_cascade_matches_scalar(diamond_graph):
     # probability-1 edges: both cascade paths are deterministic.
     edge_probs = np.ones(diamond_graph.num_edges)
     scalar = simulate_cascade(diamond_graph, [0], edge_probs, rng=0)
-    vector = cascade_frontier(diamond_graph, [0], edge_probs, rng=0)
-    np.testing.assert_array_equal(scalar, vector)
+    seeds = np.array([0], dtype=np.int64)
+    bit = np.array([
+        bitparallel_cascade_counts(
+            diamond_graph, seeds, edge_probs, 1,
+            np.array([v], dtype=np.int64), key=0,
+        )[0]
+        for v in range(diamond_graph.num_nodes)
+    ], dtype=bool)
+    np.testing.assert_array_equal(scalar, bit)
 
 
-def test_certain_world_batched_rr_members(line_graph):
+def test_certain_world_bitparallel_rr_members(line_graph):
     # All edges certain: every RR set is the full ancestor set.
     edge_probs = np.ones(line_graph.num_edges)
     roots = np.array([3, 2, 0], dtype=np.int64)
-    members, indptr = batched_rr_members(line_graph, roots, edge_probs, rng=1)
+    members, indptr = bitparallel_rr_members(
+        line_graph, roots, edge_probs, key=1
+    )
     sets = [
         set(members[indptr[i]:indptr[i + 1]].tolist())
         for i in range(len(roots))
     ]
     assert sets == [{0, 1, 2, 3}, {0, 1, 2}, {0}]
-
-
-def test_rr_frontier_root_always_member(small_yelp):
-    graph = small_yelp.graph
-    edge_probs = graph.edge_probabilities(list(graph.tags[:2]))
-    for root in (0, 5, graph.num_nodes - 1):
-        members = rr_frontier(graph, root, edge_probs, rng=root)
-        assert root in members.tolist()
-        assert len(set(members.tolist())) == members.size
 
 
 # ---------------------------------------------------------------------------
@@ -91,33 +78,12 @@ def test_rr_frontier_root_always_member(small_yelp):
 def test_engine_spread_converges_to_exact(fig4_graph):
     tags = ["c1", "c2", "c3"]
     exact = exact_spread(fig4_graph, [0, 3], [2, 5], tags)
-    engine = SamplingEngine(mode="vectorized", workers=1, shard_size=256)
+    engine = SamplingEngine(mode="bitparallel", workers=1, shard_size=256)
     value = estimate_spread(
         fig4_graph, [0, 3], [2, 5], tags,
         num_samples=20000, rng=11, engine=engine,
     )
     assert value == pytest.approx(exact, abs=0.05)
-
-
-def test_batched_cascade_counts_converge(fig9_graph):
-    tags = ["c1", "c2", "c3", "c4", "c5", "c6"]
-    exact = exact_spread(fig9_graph, [0], [6, 7, 8], tags)
-    edge_probs = fig9_graph.edge_probabilities(tags)
-    counts = batched_cascade_counts(
-        fig9_graph, np.array([0], dtype=np.int64), edge_probs,
-        20000, np.array([6, 7, 8], dtype=np.int64), rng=5,
-    )
-    assert counts.size == 20000
-    assert counts.mean() == pytest.approx(exact, abs=0.05)
-
-
-def test_vectorized_rr_membership_rate_matches_scalar(line_graph):
-    # P(0 ∈ RR(3)) = 0.5^3 on the all-tags line graph.
-    edge_probs = line_graph.edge_probabilities(["a", "b", "c"])
-    roots = np.full(20000, 3, dtype=np.int64)
-    members, indptr = batched_rr_members(line_graph, roots, edge_probs, rng=3)
-    hits = np.bincount(members, minlength=4)[0]
-    assert hits / 20000 == pytest.approx(0.125, abs=0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +188,8 @@ def _rr_signature(rr: RRCollection) -> tuple:
 def worker_engines():
     """One serial and one 4-worker engine, shared across the module
     (process-pool startup is the expensive part)."""
-    serial = SamplingEngine(mode="vectorized", workers=1, shard_size=16)
-    pooled = SamplingEngine(mode="vectorized", workers=4, shard_size=16)
+    serial = SamplingEngine(mode="bitparallel", workers=1, shard_size=16)
+    pooled = SamplingEngine(mode="bitparallel", workers=4, shard_size=16)
     yield serial, pooled
     serial.close()
     pooled.close()
@@ -270,6 +236,11 @@ def test_serial_parallel_identical_for_any_seed(
     a = serial.sample_rr_sets(graph, target_arr, edge_probs, 40, rng=rng_a)
     b = pooled.sample_rr_sets(graph, target_arr, edge_probs, 40, rng=rng_b)
     assert _rr_signature(a) == _rr_signature(b)
+
+
+def test_removed_vectorized_mode_is_rejected():
+    with pytest.raises(ConfigurationError, match="'scalar', 'bitparallel'"):
+        SamplingEngine(mode="vectorized")
 
 
 def test_shard_counts_partition():
@@ -320,7 +291,7 @@ def test_find_seeds_with_sampler_all_engines(small_yelp):
     graph = small_yelp.graph
     targets = list(range(0, 30))
     tags = list(graph.tags[:3])
-    with SamplingEngine(mode="vectorized", workers=1) as engine:
+    with SamplingEngine(mode="bitparallel", workers=1) as engine:
         for algo in ("trs", "imm", "ltrs", "lltrs"):
             sel = find_seeds(
                 graph, targets, tags, 3, engine=algo, rng=17, sampler=engine

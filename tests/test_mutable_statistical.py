@@ -144,7 +144,7 @@ def test_calibration_survives_successive_epochs(fig9_graph, mode):
 
 def test_mc_estimators_agree_with_exact_on_edited_snapshot(fig9_graph):
     """Edited snapshots are first-class graphs for the MC paths too:
-    scalar loop and vectorized engine both land inside the gate on a
+    scalar loop and bit-parallel engine both land inside the gate on a
     post-edit snapshot (tombstones, appended edge, rewritten probs)."""
     mutable = MutableTagGraph(fig9_graph)
     mutable.apply(SHIFT_EDITS)
@@ -158,7 +158,7 @@ def test_mc_estimators_agree_with_exact_on_edited_snapshot(fig9_graph):
     )
     assert abs(est_scalar - exact) <= bound
 
-    with SamplingEngine(mode="vectorized", workers=1) as engine:
+    with SamplingEngine(mode="bitparallel", workers=1) as engine:
         est_engine = estimate_spread(
             snap, FIG9_SEEDS, FIG9_TARGETS, ALL_TAGS,
             num_samples=THETA, rng=12345, engine=engine,

@@ -492,8 +492,8 @@ class TestProfiling:
                     query[0], query[1], query[2], 64,
                     np.random.default_rng(11),
                 )
-        assert ob.metrics.value("kernel.batched_reverse_bfs.calls") >= 1
-        assert ob.metrics.histogram("frontier.rr_level_size").count >= 1
+        assert ob.metrics.value("kernel.bitworld_rr.calls") >= 1
+        assert ob.metrics.histogram("kernel.bitworld_rr.seconds").count >= 1
 
     def test_timer_metric_bridge(self):
         with obs.observe() as ob:

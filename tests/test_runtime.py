@@ -237,7 +237,7 @@ def test_bitparallel_pool_kill_rebuilds_and_matches(query):
 
     The bit-parallel mode ships its CSR to workers through shared
     memory, so a BrokenProcessPool rebuild has more to get right than
-    the vectorized path: the replacement pool must re-attach the
+    a pickled-graph path: the replacement pool must re-attach the
     segments, the retried shard must replay its SeedSequence stream
     into identical packed worlds, and closing the engine must leave
     zero shared-memory segments behind.

@@ -171,7 +171,7 @@ class TestInterleavedDeterminism:
         query_b = dict(tags=("c6", "c1"), seed=3)
 
         def run_pair(concurrent):
-            with SamplingEngine(mode="vectorized", workers=1) as engine:
+            with SamplingEngine(mode="bitparallel", workers=1) as engine:
                 with _server(
                     fig9_graph, sampler=engine, pool_size=2
                 ) as server:

@@ -78,7 +78,7 @@ def answer_of(response: dict) -> tuple:
 
 
 def _spec(**overrides) -> WorkerSpec:
-    kwargs = dict(config=CONFIG, engine_mode="vectorized", pool_size=2)
+    kwargs = dict(config=CONFIG, engine_mode="bitparallel", pool_size=2)
     kwargs.update(overrides)
     return WorkerSpec(**kwargs)
 

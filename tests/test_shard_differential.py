@@ -8,7 +8,7 @@ bit-identical to what one in-process :class:`~repro.serve.CampaignServer`
 
 Covered here:
 
-* all four query ops × {scalar, vectorized, bitparallel} engines ×
+* all four query ops × {scalar, bitparallel} engines ×
   {1, 2, 4} workers, cold and warm (the warm repeat must be a cache
   hit, proving ring affinity landed it on the same worker's cache);
 * scatter/gather ``find_seeds`` — the partitioned build + router-side
@@ -37,7 +37,7 @@ from repro.sketch.theta import SketchConfig
 
 FAST_SKETCH = SketchConfig(theta_max=800, pilot_samples=30)
 CONFIG = JointConfig(sketch=FAST_SKETCH)
-ENGINES = ("scalar", "vectorized", "bitparallel")
+ENGINES = ("scalar", "bitparallel")
 FLEETS = (1, 2, 4)
 
 TARGETS = list(range(8, 20))
@@ -193,7 +193,7 @@ MORE_EDITS = [
 class TestEpochBroadcast:
     @pytest.fixture(scope="class", params=(2, 4))
     def mutable_pair(self, request):
-        sampler = SamplingEngine(mode="vectorized", workers=1)
+        sampler = SamplingEngine(mode="bitparallel", workers=1)
         oracle = CampaignServer(
             GRAPH, config=CONFIG, sampler=sampler, mutable=True
         )
@@ -201,7 +201,7 @@ class TestEpochBroadcast:
             GRAPH,
             workers=request.param,
             spec=WorkerSpec(
-                config=CONFIG, engine_mode="vectorized", mutable=True
+                config=CONFIG, engine_mode="bitparallel", mutable=True
             ),
         )
         yield oracle, fleet

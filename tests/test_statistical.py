@@ -1,7 +1,7 @@
 """Statistical equivalence of every estimator path vs the exact oracle.
 
-Each Monte-Carlo spread estimate — scalar reference loop, vectorized
-frontier-batched engine, and multi-process engine — is compared against
+Each Monte-Carlo spread estimate — scalar reference loop, serial
+bit-parallel engine, and multi-process engine — is compared against
 the possible-world enumeration of :mod:`repro.diffusion.exact` on the
 paper's small worked-example graphs.
 
@@ -43,16 +43,16 @@ def hoeffding_bound(range_width: float, n: int) -> float:
 
 @pytest.fixture(scope="module")
 def engines():
-    """One vectorized serial and one pooled engine, shared per module.
+    """One bit-parallel serial and one pooled engine, shared per module.
 
     ``parallel_threshold=0`` disables the small-work fallback so the
     pooled engine genuinely exercises the multi-process path.
     """
-    serial = SamplingEngine(mode="vectorized", workers=1)
+    serial = SamplingEngine(mode="bitparallel", workers=1)
     pooled = SamplingEngine(
-        mode="vectorized", workers=2, shard_size=256, parallel_threshold=0
+        mode="bitparallel", workers=2, shard_size=256, parallel_threshold=0
     )
-    yield {"vectorized": serial, "parallel": pooled}
+    yield {"bitparallel": serial, "parallel": pooled}
     serial.close()
     pooled.close()
 
@@ -71,7 +71,7 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("path", ["scalar", "vectorized", "parallel"])
+@pytest.mark.parametrize("path", ["scalar", "bitparallel", "parallel"])
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[3]}")
 def test_mc_estimate_within_ci_of_exact(case, path, engines, request):
     fixture, seeds, targets, tags = case
@@ -93,13 +93,14 @@ def test_mc_estimate_within_ci_of_exact(case, path, engines, request):
 
 @pytest.mark.parametrize("case", CASES[:4], ids=lambda c: f"{c[0]}-{c[3]}")
 def test_vectorized_and_parallel_estimates_identical(case, engines, request):
-    """The engine's determinism contract: worker count never changes the
-    estimate — sharding depends only on (count, shard_size), and shard
-    RNG streams are spawned per shard."""
+    """The engine's determinism contract: the serial and the pooled
+    bit-parallel engine give the same estimate — sharding depends only
+    on (count, shard_size), and shard RNG streams are spawned per
+    shard."""
     fixture, seeds, targets, tags = case
     graph = request.getfixturevalue(fixture)
     serial_same_shard = SamplingEngine(
-        mode="vectorized", workers=1, shard_size=256
+        mode="bitparallel", workers=1, shard_size=256
     )
     try:
         a = estimate_spread(
@@ -131,7 +132,7 @@ def test_scalar_and_engine_agree_with_each_other(line_graph):
         line_graph, [0], [3], ["a", "b", "c"],
         num_samples=NUM_SAMPLES, rng=99,
     )
-    with SamplingEngine(mode="vectorized", workers=1) as engine:
+    with SamplingEngine(mode="bitparallel", workers=1) as engine:
         est_engine = estimate_spread(
             line_graph, [0], [3], ["a", "b", "c"],
             num_samples=NUM_SAMPLES, rng=99, engine=engine,
