@@ -16,8 +16,10 @@ cascade simulation) on a ladder of synthetic configs, three ways each:
   and the gated configs are sized so it must stay ``false``.
 
 A fourth measurement times **incremental sketch repair** against a cold
-rebuild after a sparse edit batch (see ``docs/mutability.md``); its
-speedup is reported as ``incremental_repair_speedup`` and gated.
+rebuild after a sparse edit batch (see ``docs/mutability.md``), once per
+repair mode; the speedups are reported as ``incremental_repair_speedup``
+(scalar) and ``incremental_repair_bitparallel_speedup`` and both are
+gated.
 
 Timings use interleaved min-of-repeats: each repeat cycles through all
 three variants back-to-back, and the minimum per variant is reported.
@@ -53,6 +55,7 @@ from repro.diffusion import simulate_cascade
 from repro.engine import SamplingEngine, shared_csr
 from repro.graphs.mutable import MutableTagGraph, TagSet
 from repro.sketch import build_repairable_sketch, reverse_reachable_set
+from repro.sketch.incremental import REPAIR_MODES
 
 #: (label, factory, scale) — ordered smallest to largest; the *last*
 #: entry is the one the --min-speedup gate checks.
@@ -205,34 +208,42 @@ def bench_repair(
     theta: int,
     repeats: int,
     num_edits: int = 8,
-) -> dict:
+) -> dict[str, dict]:
     """Incremental sketch repair vs cold rebuild on a sparse edit batch.
 
-    Builds a θ-set repairable sketch, applies a small probability-update
-    batch (far under 10% of edges dirty — the regime the repair path
-    exists for), and times ``repair`` against ``cold_rebuild`` with the
-    same interleaved min-of-repeats discipline as the kernel legs. The
-    two are bit-identical by contract; the benchmark re-checks that and
-    records it, so the gate can refuse a "fast" repair that diverged.
+    Builds a θ-set repairable sketch per repair mode (``scalar`` and
+    ``bitparallel``), applies one small probability-update batch (far
+    under 10% of edges dirty — the regime the repair path exists for),
+    and times each sketch's ``repair`` against its own
+    ``cold_rebuild`` with the same interleaved min-of-repeats
+    discipline as the kernel legs. The two are bit-identical by
+    contract; the benchmark re-checks that and records it, so the gate
+    can refuse a "fast" repair that diverged. Returns one leg per mode.
     """
     data = factory(scale=scale)
     graph = data.graph
     targets = np.asarray(bfs_targets(graph, 60), dtype=np.int64)
     tags = list(graph.tags[:5])
     probs = graph.edge_probabilities(tags)
-    sketch = build_repairable_sketch(graph, targets, probs, theta, seed=0)
+    sketches = {
+        mode: build_repairable_sketch(
+            graph, targets, probs, theta, seed=0, mode=mode
+        )
+        for mode in REPAIR_MODES
+    }
 
     # A realistic sparse batch: perturb tag probabilities on edges of
     # *median* touch count among those whose destination appears in at
-    # least one stored RR set. Zero-touch edits make repair a no-op
-    # (an unmeasurable "speedup"); hub edits dirty everything and
-    # degrade repair to rebuild-equivalent work. The median is the
-    # sparse case the gate advertises.
+    # least one stored RR set of the scalar sketch. Zero-touch edits
+    # make repair a no-op (an unmeasurable "speedup"); hub edits dirty
+    # everything and degrade repair to rebuild-equivalent work. The
+    # median is the sparse case the gate advertises. Every mode repairs
+    # the same batch.
     tag0 = tags[0]
     edge_ids, tag_probs = graph.tag_edges(tag0)
     candidates = edge_ids[:512]
     touch_costs = np.asarray([
-        sketch.dirty_set_ids(np.asarray([graph.dst[e]])).size
+        sketches["scalar"].dirty_set_ids(np.asarray([graph.dst[e]])).size
         for e in candidates
     ])
     touched = np.flatnonzero(touch_costs > 0)
@@ -255,36 +266,43 @@ def bench_repair(
     new_probs = snap.edge_probabilities(tags)
     dirty_edges = mutable.dirty_edges(0)
 
-    repaired, stats = sketch.repair(snap, new_probs, dirty_edges)
-    rebuilt = sketch.cold_rebuild(snap, new_probs)
-    bit_identical = bool(
-        repaired.theta == rebuilt.theta
-        and np.array_equal(repaired.rr.indptr, rebuilt.rr.indptr)
-        and np.array_equal(repaired.rr.members, rebuilt.rr.members)
-    )
-
-    times = _interleaved_min(
-        {
-            "repair": lambda: sketch.repair(snap, new_probs, dirty_edges),
-            "cold_rebuild": lambda: sketch.cold_rebuild(snap, new_probs),
-        },
-        repeats,
-    )
-    return {
-        "config": label,
-        "theta": theta,
-        "edits": len(chosen),
-        "dirty_edges": int(dirty_edges.size),
-        "dirty_edge_fraction": round(
-            dirty_edges.size / graph.num_edges, 4
-        ),
-        "dirty_sets": int(stats["dirty_sets"]),
-        "dirty_set_fraction": round(stats["dirty_sets"] / theta, 4),
-        "repair_s": times["repair"],
-        "cold_rebuild_s": times["cold_rebuild"],
-        "speedup": round(times["cold_rebuild"] / times["repair"], 2),
-        "bit_identical": bit_identical,
-    }
+    legs = {}
+    for mode, sketch in sketches.items():
+        repaired, stats = sketch.repair(snap, new_probs, dirty_edges)
+        rebuilt = sketch.cold_rebuild(snap, new_probs)
+        bit_identical = bool(
+            repaired.theta == rebuilt.theta
+            and np.array_equal(repaired.rr.indptr, rebuilt.rr.indptr)
+            and np.array_equal(repaired.rr.members, rebuilt.rr.members)
+        )
+        times = _interleaved_min(
+            {
+                "repair": lambda s=sketch: s.repair(
+                    snap, new_probs, dirty_edges
+                ),
+                "cold_rebuild": lambda s=sketch: s.cold_rebuild(
+                    snap, new_probs
+                ),
+            },
+            repeats,
+        )
+        legs[mode] = {
+            "config": label,
+            "mode": mode,
+            "theta": theta,
+            "edits": len(chosen),
+            "dirty_edges": int(dirty_edges.size),
+            "dirty_edge_fraction": round(
+                dirty_edges.size / graph.num_edges, 4
+            ),
+            "dirty_sets": int(stats["dirty_sets"]),
+            "dirty_set_fraction": round(stats["dirty_sets"] / theta, 4),
+            "repair_s": times["repair"],
+            "cold_rebuild_s": times["cold_rebuild"],
+            "speedup": round(times["cold_rebuild"] / times["repair"], 2),
+            "bit_identical": bit_identical,
+        }
+    return legs
 
 
 def main(argv=None) -> int:
@@ -343,7 +361,7 @@ def main(argv=None) -> int:
             f"benchmarking incremental repair ({gated_label}) ...",
             flush=True,
         )
-        repair = bench_repair(
+        repair_legs = bench_repair(
             gated_label, gated_factory, gated_scale, theta, repeats
         )
     if args.metrics_out:
@@ -362,8 +380,12 @@ def main(argv=None) -> int:
         "rr_bitparallel_geomean_speedup": round(
             math.exp(sum(map(math.log, rr_speedups)) / len(rr_speedups)), 2
         ),
-        "incremental_repair": repair,
-        "incremental_repair_speedup": repair["speedup"],
+        "incremental_repair": repair_legs["scalar"],
+        "incremental_repair_speedup": repair_legs["scalar"]["speedup"],
+        "incremental_repair_bitparallel": repair_legs["bitparallel"],
+        "incremental_repair_bitparallel_speedup": (
+            repair_legs["bitparallel"]["speedup"]
+        ),
         "results": results,
     }
     out_path = Path(args.output)
@@ -395,14 +417,15 @@ def main(argv=None) -> int:
         "rr bit-parallel geomean speedup: "
         f"{report['rr_bitparallel_geomean_speedup']:.2f}x"
     )
-    print(
-        f"incremental repair ({repair['config']}): "
-        f"{repair['speedup']:.2f}x over cold rebuild — "
-        f"{repair['dirty_sets']}/{repair['theta']} sets dirty from "
-        f"{repair['edits']} edits "
-        f"({repair['dirty_edge_fraction']:.2%} of edges), "
-        f"bit_identical={repair['bit_identical']}"
-    )
+    for repair in repair_legs.values():
+        print(
+            f"incremental {repair['mode']} repair ({repair['config']}): "
+            f"{repair['speedup']:.2f}x over cold rebuild — "
+            f"{repair['dirty_sets']}/{repair['theta']} sets dirty from "
+            f"{repair['edits']} edits "
+            f"({repair['dirty_edge_fraction']:.2%} of edges), "
+            f"bit_identical={repair['bit_identical']}"
+        )
     print(f"\nwrote {out_path}")
 
     if args.min_speedup is not None:

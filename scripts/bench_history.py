@@ -73,6 +73,9 @@ def _summarize_engine(payload: dict) -> dict:
         "incremental_repair_speedup": payload.get(
             "incremental_repair_speedup"
         ),
+        "incremental_repair_bitparallel_speedup": payload.get(
+            "incremental_repair_bitparallel_speedup"
+        ),
     }
 
 

@@ -35,7 +35,11 @@ For ``bench_engine.py`` artifacts, asserts that
   of edges dirty), stayed bit-identical to its cold rebuild, and its
   ``incremental_repair_speedup`` meets the floor (default 3x —
   patching a handful of dirty RR sets has to actually beat resampling
-  all θ of them).
+  all θ of them);
+* the bit-parallel repair leg passes the same sparse-regime and
+  bit-identity checks, and ``incremental_repair_bitparallel_speedup``
+  (bit-parallel repair over a bit-parallel cold rebuild) meets its
+  own fixed floor, ``MIN_BIT_REPAIR_SPEEDUP`` (1.5x).
 
 For ``repro loadgen`` artifacts (``BENCH_load.json``), asserts that
 
@@ -60,6 +64,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+#: Floor of bit-parallel repair over a bit-parallel cold rebuild on the
+#: sparse-edit batch: replaying the dirty lanes of each shard has to
+#: beat re-running every lane of it.
+MIN_BIT_REPAIR_SPEEDUP = 1.5
 
 
 def check_serve(
@@ -159,6 +168,39 @@ def check_serve(
     return failures
 
 
+def _check_repair(
+    payload: dict, section: str, label: str, min_speedup: float
+) -> list[str]:
+    """Gates of one incremental-repair leg of an engine artifact."""
+    repair = payload.get(section)
+    if repair is None:
+        return [f"missing {section} section"]
+    failures: list[str] = []
+    if not repair.get("bit_identical", False):
+        failures.append(
+            f"{label} diverged from its cold rebuild — "
+            "speed is meaningless if the bits are wrong"
+        )
+    if not repair.get("dirty_sets", 0) > 0:
+        failures.append(
+            f"{label} benchmark dirtied zero RR sets — the timed "
+            "'repair' was the no-op fast path, not a measurement"
+        )
+    frac = repair.get("dirty_edge_fraction", 1.0)
+    if not frac < 0.10:
+        failures.append(
+            f"{label} benchmark dirtied {frac:.1%} of edges — the "
+            "<10% sparse-edit regime was not measured"
+        )
+    speedup = payload.get(f"{section}_speedup", repair.get("speedup", 0.0))
+    if speedup < min_speedup:
+        failures.append(
+            f"{label} speedup {speedup:.1f}x < required "
+            f"{min_speedup:.1f}x over cold rebuild"
+        )
+    return failures
+
+
 def check_engine(
     payload: dict,
     min_bit_speedup: float,
@@ -170,34 +212,15 @@ def check_engine(
     if not results:
         return ["no results in benchmark payload"]
 
-    repair = payload.get("incremental_repair")
-    if repair is None:
-        failures.append("missing incremental_repair section")
-    else:
-        if not repair.get("bit_identical", False):
-            failures.append(
-                "incremental repair diverged from its cold rebuild — "
-                "speed is meaningless if the bits are wrong"
-            )
-        if not repair.get("dirty_sets", 0) > 0:
-            failures.append(
-                "repair benchmark dirtied zero RR sets — the timed "
-                "'repair' was the no-op fast path, not a measurement"
-            )
-        frac = repair.get("dirty_edge_fraction", 1.0)
-        if not frac < 0.10:
-            failures.append(
-                f"repair benchmark dirtied {frac:.1%} of edges — the "
-                "<10% sparse-edit regime was not measured"
-            )
-        speedup = payload.get(
-            "incremental_repair_speedup", repair.get("speedup", 0.0)
-        )
-        if speedup < min_repair_speedup:
-            failures.append(
-                f"incremental repair speedup {speedup:.1f}x < required "
-                f"{min_repair_speedup:.1f}x over cold rebuild"
-            )
+    for section, label, floor in (
+        ("incremental_repair", "incremental repair", min_repair_speedup),
+        (
+            "incremental_repair_bitparallel",
+            "bit-parallel incremental repair",
+            MIN_BIT_REPAIR_SPEEDUP,
+        ),
+    ):
+        failures.extend(_check_repair(payload, section, label, floor))
 
     gated = results[-1]
     speedup = gated.get("rr", {}).get("bitparallel_speedup", 0.0)
@@ -353,7 +376,9 @@ def main(argv: list[str] | None = None) -> int:
             "pool fan-out exercised, no leaked segments; "
             "incremental repair "
             f"{payload.get('incremental_repair_speedup', 0):.1f}x >= "
-            f"{args.min_repair_speedup:.1f}x (bit-identical)"
+            f"{args.min_repair_speedup:.1f}x, bit-parallel repair "
+            f"{payload.get('incremental_repair_bitparallel_speedup', 0):.1f}"
+            f"x >= {MIN_BIT_REPAIR_SPEEDUP:.1f}x (both bit-identical)"
         )
     else:
         shard = payload.get("sharded", {})

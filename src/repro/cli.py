@@ -225,7 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--retries", type=int, default=None,
             help=(
                 "retries per shard for transient failures (implies "
-                "--sampler bitparallel; engine default is 2)"
+                "--sampler bitparallel; engine default is 2); serve "
+                "accepts it only single-process, since fleet workers "
+                "carry no retry policy"
             ),
         )
         p.add_argument(
@@ -243,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--checkpoint-dir", default=None,
             help=(
                 "directory for shard-granular checkpoints (implies "
-                "--sampler bitparallel)"
+                "--sampler bitparallel); not accepted by serve, whose "
+                "per-query sampling never checkpoints"
             ),
         )
         p.add_argument(
@@ -251,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 "resume from matching checkpoints in --checkpoint-dir "
                 "(required); the spliced run is bit-identical to an "
-                "uninterrupted one"
+                "uninterrupted one; not accepted by serve"
             ),
         )
 
@@ -1229,6 +1232,31 @@ def _write_observability(
         print(f"wrote trace to {trace_path}", file=sys.stderr)
 
 
+def _check_serve_flags(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Refuse shared runtime flags that ``serve`` would silently drop.
+
+    The server samples only through per-query engine views, which never
+    checkpoint, and a fleet's ``WorkerSpec`` carries no retry policy.
+    """
+    if args.checkpoint_dir is not None:
+        parser.error(
+            "serve does not support --checkpoint-dir: served queries "
+            "never checkpoint"
+        )
+    if args.resume:
+        parser.error(
+            "serve does not support --resume: served queries never "
+            "checkpoint"
+        )
+    if args.retries is not None and args.workers > 1:
+        parser.error(
+            "serve --workers N (N > 1) does not support --retries: "
+            "fleet workers carry no retry policy"
+        )
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
@@ -1238,6 +1266,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "serve":
+        _check_serve_flags(parser, args)
     if getattr(args, "resume", False) and args.checkpoint_dir is None:
         parser.error("--resume requires --checkpoint-dir")
     _install_sigterm_handler()

@@ -39,6 +39,12 @@ rows. The slot permutation is deterministic (stable sort), recorded via
 :func:`rr_world_of_sample`, and inverted during collection so sample
 ``i`` keeps its drawn root.
 
+Because every coin is a pure function of its world, any subset of a
+shard's samples can be replayed in the worlds it was first drawn in:
+:func:`bit_rr_replay` does that over shared pre-gathers
+(:class:`RRGather`), and :func:`bit_rr_members` is the replay of every
+sample. Incremental sketch repair replays just the dirty samples.
+
 :func:`bitparallel_rr_members` and :func:`bitparallel_cascade_counts`
 are the graph-level fronts the sampling engine calls per shard.
 """
@@ -48,6 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.profile import kernel_timer
+from repro.utils.mathx import stable_argsort
 from repro.utils.validation import check_node_array
 
 U64 = np.uint64
@@ -141,21 +148,9 @@ def rr_world_of_sample(
     for oracle checks: sample ``i``'s RR set was traversed in this
     world.
     """
-    slot_order = _stable_argsort(np.asarray(roots, dtype=np.int64), num_nodes)
+    slot_order = stable_argsort(np.asarray(roots, dtype=np.int64), num_nodes)
     slot = int(np.flatnonzero(slot_order == sample)[0])
     return slot >> 6, slot & 63
-
-
-def _stable_argsort(values: np.ndarray, bound: int) -> np.ndarray:
-    """Stable argsort, routed through int16 radix sort when values fit.
-
-    numpy's ``kind="stable"`` picks an O(n) radix sort only for dtypes
-    up to 16 bits (wider ints fall back to timsort, ~10x slower); shard
-    sizes and node counts on the evaluation graphs fit comfortably.
-    """
-    if 0 <= bound <= 32767:
-        return np.argsort(values.astype(np.int16), kind="stable")
-    return np.argsort(values, kind="stable")
 
 
 def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -193,11 +188,13 @@ def _bit_rr_block_range(
     slot_chunks: list[np.ndarray],
     node_chunks: list[np.ndarray],
 ) -> None:
-    """Reverse-BFS one contiguous block range; append (slot, node) pairs.
+    """Reverse-BFS the slots of one block range; append (slot, node) pairs.
 
-    The frontier is a pair of (slot, node) arrays — slots carry their
-    global 64-world coordinates so coin counters are batch-invariant —
-    while the visited state is one uint64 lane-mask per (block, node).
+    ``slots`` is any ascending subset of the range's slots (the slots
+    left out are ghost lanes that never get a bit). The frontier is a
+    pair of (slot, node) arrays — slots carry their global 64-world
+    coordinates so coin counters are batch-invariant — while the
+    visited state is one uint64 lane-mask per (block, node).
     Each level gathers the in-edges of every frontier pair, draws the
     pair's single lane coin, masks out already-visited worlds, and
     canonicalizes survivors via one packed ``(block, node, lane)`` sort
@@ -368,6 +365,118 @@ def _bit_rr_block_range(
         )
 
 
+class RRGather:
+    """Edge-aligned pre-gathers of one RR kernel input graph.
+
+    The level loop indexes each live edge position once instead of
+    chaining edge-id lookups per level. Built once per ``(graph,
+    probabilities)`` and shared by every shard replayed on it — a cold
+    build and a repair alike. ``max_samples`` bounds the samples of any
+    one shard and picks the narrowest safe index dtype (int32 when
+    slots, nodes, and per-batch visited cells all fit — the level loop
+    is memory-bound, so halving index width buys real throughput).
+    """
+
+    __slots__ = (
+        "num_nodes", "node_bits", "block_stride", "idx", "pack_dtype",
+        "rev_indptr", "rev_parent", "rev_thr", "rev_ctr",
+    )
+
+    def __init__(
+        self,
+        num_nodes: int,
+        num_edges: int,
+        rev_indptr: np.ndarray,
+        rev_edges: np.ndarray,
+        src: np.ndarray,
+        thr53: np.ndarray,
+        max_samples: int,
+    ) -> None:
+        num_blocks = (max_samples + 63) // 64
+        blocks_per_batch = max(1, DEFAULT_BLOCK_CELLS // max(num_nodes, 1))
+        use32 = (
+            max_samples <= _I32_MAX
+            and num_nodes <= _I32_MAX
+            and min(blocks_per_batch, num_blocks) * num_nodes <= _I32_MAX
+        )
+        idx = np.dtype(np.int32) if use32 else np.dtype(np.int64)
+        self.num_nodes = int(num_nodes)
+        self.node_bits = max(int(num_nodes - 1).bit_length(), 1)
+        self.idx = idx
+        self.pack_dtype = (
+            np.int32
+            if num_blocks << (self.node_bits + 6) <= _I32_MAX
+            else np.int64
+        )
+        self.block_stride = U64(num_edges) << U64(6)
+        self.rev_indptr = rev_indptr.astype(idx, copy=False)
+        self.rev_parent = src[rev_edges].astype(idx, copy=False)
+        self.rev_thr = thr53[rev_edges]
+        self.rev_ctr = rev_edges.astype(np.uint64) << U64(6)
+
+
+def bit_rr_replay(
+    gather: RRGather,
+    roots: np.ndarray,
+    key: int,
+    samples: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replay the RR sets of ``samples`` (ascending ids; all if None).
+
+    Slots are the root-sorted positions of the *whole* shard ``roots``,
+    so every replayed sample keeps the ``(block, lane)`` world it was
+    first drawn in; the lanes of samples left out are ghost lanes that
+    never get a bit. Because coins are counter-based, a replayed set is
+    bit-identical to the same row of a full run. Returns flat CSR
+    ``(members, indptr)`` with one row per requested sample.
+    """
+    roots = np.asarray(roots, dtype=np.int64)
+    S = int(roots.size)
+    idx = gather.idx
+    replay_all = samples is None
+    if replay_all:
+        samples = np.arange(S, dtype=np.int64)
+    if samples.size == 0:
+        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    key = U64(key)
+    num_nodes = gather.num_nodes
+    # slot -> sample id (root-grouped packing)
+    slot_order = stable_argsort(roots, num_nodes)
+    slot_roots = roots[slot_order].astype(idx, copy=False)
+    if replay_all:
+        slots = np.arange(S, dtype=idx)
+    else:
+        slot_of_sample = np.empty(S, dtype=np.int64)
+        slot_of_sample[slot_order] = np.arange(S, dtype=np.int64)
+        slots = np.sort(slot_of_sample[samples]).astype(idx, copy=False)
+        slot_roots = slot_roots[slots]
+
+    slot_chunks: list[np.ndarray] = []
+    node_chunks: list[np.ndarray] = []
+    bounds = np.searchsorted(
+        slots,
+        [lo * 64 for lo, _ in _block_batches((S + 63) // 64, num_nodes)]
+        + [S],
+    )
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if lo == hi:
+            continue
+        _bit_rr_block_range(
+            num_nodes, gather.block_stride, gather.rev_indptr,
+            gather.rev_parent, gather.rev_thr, gather.rev_ctr,
+            int(slots[lo]), slots[lo:hi], slot_roots[lo:hi], key,
+            gather.node_bits, gather.pack_dtype, slot_chunks, node_chunks,
+        )
+
+    owner = slot_order[np.concatenate(slot_chunks)]
+    order = stable_argsort(owner, S - 1)
+    members = np.concatenate(node_chunks)[order]
+    counts = np.bincount(owner, minlength=S)[samples]
+    indptr = np.zeros(samples.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return members, indptr
+
+
 def bit_rr_members(
     num_nodes: int,
     num_edges: int,
@@ -386,60 +495,11 @@ def bit_rr_members(
     level order). Deterministic in ``(roots, thr53, key)`` alone —
     block batching and worker layout cannot change a bit.
     """
-    S = int(roots.size)
-    if S == 0:
-        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    key = U64(key)
-    node_bits = max(int(num_nodes - 1).bit_length(), 1)
-    num_blocks = (S + 63) // 64
-    blocks_per_batch = max(1, DEFAULT_BLOCK_CELLS // max(num_nodes, 1))
-    use32 = (
-        S <= _I32_MAX
-        and num_nodes <= _I32_MAX
-        and min(blocks_per_batch, num_blocks) * num_nodes <= _I32_MAX
+    gather = RRGather(
+        num_nodes, num_edges, rev_indptr, rev_edges, src, thr53,
+        int(roots.size),
     )
-    idx = np.dtype(np.int32) if use32 else np.dtype(np.int64)
-    pack_dtype = (
-        np.int32
-        if num_blocks << (node_bits + 6) <= _I32_MAX
-        else np.int64
-    )
-    # Edge-aligned pre-gathers: the level loop then indexes each live
-    # edge position once instead of chaining edge-id lookups per level.
-    rev_indptr = rev_indptr.astype(idx, copy=False)
-    rev_parent = src[rev_edges].astype(idx, copy=False)
-    rev_thr = thr53[rev_edges]
-    rev_ctr = rev_edges.astype(np.uint64) << U64(6)
-    block_stride = U64(num_edges) << U64(6)
-
-    slot_order = _stable_argsort(
-        np.asarray(roots, dtype=np.int64), num_nodes
-    )  # slot -> sample id (root-grouped packing)
-    slot_roots = np.asarray(roots, dtype=np.int64)[slot_order].astype(
-        idx, copy=False
-    )
-
-    slot_chunks: list[np.ndarray] = []
-    node_chunks: list[np.ndarray] = []
-    all_slots = np.arange(S, dtype=idx)
-    for block_lo, block_hi in _block_batches(num_blocks, num_nodes):
-        lo = block_lo * 64
-        hi = min(block_hi * 64, S)
-        _bit_rr_block_range(
-            num_nodes, block_stride, rev_indptr, rev_parent, rev_thr,
-            rev_ctr, lo, all_slots[lo:hi], slot_roots[lo:hi], key,
-            node_bits, pack_dtype, slot_chunks, node_chunks,
-        )
-
-    slots = np.concatenate(slot_chunks)
-    nodes = np.concatenate(node_chunks)
-    samples = slot_order[slots]
-    order = _stable_argsort(samples, S - 1)
-    members = nodes[order]
-    counts = np.bincount(samples, minlength=S)
-    indptr = np.zeros(S + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return members, indptr
+    return bit_rr_replay(gather, roots, key)
 
 
 def _dense_coins(

@@ -21,6 +21,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import InvalidQueryError
+from repro.utils.mathx import stable_argsort
 
 
 class RRCollection(Sequence):
@@ -141,7 +142,7 @@ class RRCollection(Sequence):
         node ``v`` (ascending). Built once, cached.
         """
         if self._inverted is None:
-            order = np.argsort(self._members, kind="stable")
+            order = stable_argsort(self._members, self._num_nodes - 1)
             set_ids = self.set_ids_per_member()[order]
             counts = np.bincount(self._members, minlength=self._num_nodes)
             indptr = np.zeros(self._num_nodes + 1, dtype=np.int64)
@@ -184,19 +185,20 @@ class RRCollection(Sequence):
         return np.unique(set_ids[positions])
 
     def replaced(
-        self, set_ids: np.ndarray, new_sets: Sequence[np.ndarray]
+        self, set_ids: np.ndarray, new_sets: "RRCollection"
     ) -> "RRCollection":
         """Return a collection with sets ``set_ids`` swapped for ``new_sets``.
 
-        ``set_ids`` must be strictly ascending and ``new_sets`` parallel
-        to it; every other set keeps its position and membership. The
-        receiver is left untouched (copy-on-write — in-flight readers of
-        the old collection never observe the splice).
+        ``set_ids`` must be strictly ascending and ``new_sets`` hold one
+        set per id, in the same order; every other set keeps its
+        position and membership. The receiver is left untouched
+        (copy-on-write — in-flight readers of the old collection never
+        observe the splice).
         """
         set_ids = np.asarray(set_ids, dtype=np.int64)
-        if len(new_sets) != set_ids.size:
+        if new_sets.num_sets != set_ids.size:
             raise InvalidQueryError(
-                f"{set_ids.size} set ids but {len(new_sets)} replacements"
+                f"{set_ids.size} set ids but {new_sets.num_sets} replacements"
             )
         if not set_ids.size:
             return self
@@ -206,26 +208,27 @@ class RRCollection(Sequence):
             raise InvalidQueryError(
                 f"set ids outside [0, {self.num_sets})"
             )
-        counts = np.diff(self._indptr).copy()
-        replacements = [np.asarray(s, dtype=np.int64) for s in new_sets]
-        counts[set_ids] = [r.size for r in replacements]
+        counts = np.diff(self._indptr)
+        counts[set_ids] = np.diff(new_sets.indptr)
         indptr = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        # Alternate bulk slices of untouched runs with the new arrays:
-        # O(sets touched) pieces, each a contiguous view of the source.
+        # Alternate bulk slices of untouched runs with the new sets:
+        # O(sets touched) pieces, each a contiguous view of its source.
+        new_members, new_indptr = new_sets.members, new_sets.indptr
         pieces: list[np.ndarray] = []
         cursor = 0  # old-member offset of the next untouched run
-        for sid, new in zip(set_ids.tolist(), replacements):
-            lo, hi = self._indptr[sid], self._indptr[sid + 1]
+        for lo, hi, new_lo, new_hi in zip(
+            self._indptr[set_ids].tolist(),
+            self._indptr[set_ids + 1].tolist(),
+            new_indptr[:-1].tolist(),
+            new_indptr[1:].tolist(),
+        ):
             if cursor < lo:
                 pieces.append(self._members[cursor:lo])
-            pieces.append(new)
+            pieces.append(new_members[new_lo:new_hi])
             cursor = hi
-        if cursor < self._members.size:
-            pieces.append(self._members[cursor:])
-        members = (
-            np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-        )
+        pieces.append(self._members[cursor:])
+        members = np.concatenate(pieces)
         return RRCollection(members, indptr, self._num_nodes)
 
     # ------------------------------------------------------------------

@@ -185,6 +185,13 @@ class MutableTagGraph:
         # superseded snapshots (and their shared-memory republications
         # downstream) become collectable as soon as readers finish.
         self._current_snapshot: TagGraph | None = base
+        # Per-tag arrays of the last materialized snapshot, plus the
+        # tags edited since: the next materialization rebuilds only
+        # those and shares every other tag's arrays by reference.
+        self._tag_arrays: dict[str, tuple[np.ndarray, np.ndarray]] = dict(
+            base._tag_probs
+        )
+        self._stale_tags: set[str] = set()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -235,22 +242,27 @@ class MutableTagGraph:
         if not edits:
             raise InvalidQueryError("apply() requires at least one edit")
         with self._lock:
-            # Stage on copies so a mid-batch failure cannot torn-write.
+            # Stage on copies so a mid-batch failure cannot torn-write;
+            # an overlay dict is copied only when this batch edits it.
             src = list(self._src)
             dst = list(self._dst)
-            overlays = {t: dict(d) for t, d in self._tag_overlays.items()}
+            overlays = dict(self._tag_overlays)
+            touched_tags: set[str] = set()
             removed = set(self._removed)
             base_m = self._base.num_edges
             n = self._base.num_nodes
             dirty: set[int] = set()
 
             def overlay_for(tag: str) -> dict[int, float]:
-                if tag not in overlays:
-                    entry: dict[int, float] = {}
-                    if self._base.has_tag(tag):
+                if tag not in touched_tags:
+                    touched_tags.add(tag)
+                    if tag in overlays:
+                        overlays[tag] = dict(overlays[tag])
+                    elif self._base.has_tag(tag):
                         ids, probs = self._base.tag_edges(tag)
-                        entry = dict(zip(ids.tolist(), probs.tolist()))
-                    overlays[tag] = entry
+                        overlays[tag] = dict(zip(ids.tolist(), probs.tolist()))
+                    else:
+                        overlays[tag] = {}
                 return overlays[tag]
 
             for edit in edits:
@@ -321,6 +333,7 @@ class MutableTagGraph:
             )
             self._src, self._dst = src, dst
             self._tag_overlays = overlays
+            self._stale_tags |= touched_tags
             self._removed = removed
             self._layers.append(layer)
             self._current_snapshot = None  # materialized lazily
@@ -343,6 +356,7 @@ class MutableTagGraph:
             self._tag_overlays = {}
             self._removed = set()
             self._current_snapshot = snap
+            self._tag_arrays = dict(snap._tag_probs)
             return self._base_epoch
 
     # ------------------------------------------------------------------
@@ -387,18 +401,22 @@ class MutableTagGraph:
             )
         else:
             src, dst = base.src, base.dst
-        tag_probs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for tag in sorted(set(base.tags) | set(self._tag_overlays)):
-            overlay = self._tag_overlays.get(tag)
-            if overlay is None:
-                tag_probs[tag] = base._tag_probs[tag]  # shared by reference
-                continue
+        # Untouched tags keep the previous snapshot's arrays by reference.
+        tag_probs = dict(self._tag_arrays)
+        for tag in self._stale_tags:
+            overlay = self._tag_overlays[tag]
             if not overlay:
-                continue  # tag fully cleared — drop from vocabulary
-            ids = np.array(sorted(overlay), dtype=np.int64)
-            probs = np.array([overlay[int(i)] for i in ids], dtype=np.float64)
-            tag_probs[tag] = (ids, probs)
+                tag_probs.pop(tag, None)  # cleared: leaves the vocabulary
+                continue
+            ids = np.fromiter(overlay, dtype=np.int64, count=len(overlay))
+            probs = np.fromiter(
+                overlay.values(), dtype=np.float64, count=len(overlay)
+            )
+            order = np.argsort(ids)
+            tag_probs[tag] = (ids[order], probs[order])
         snap = TagGraph(base.num_nodes, src, dst, tag_probs)
+        self._tag_arrays = tag_probs
+        self._stale_tags = set()
         self._current_snapshot = snap
         return snap
 

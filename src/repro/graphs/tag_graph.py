@@ -26,16 +26,72 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import GraphConstructionError, InvalidQueryError
+from repro.utils.mathx import stable_argsort
 
 
 def _build_csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Group edge ids by node key; return ``(indptr, edge_ids)`` CSR arrays."""
-    order = np.argsort(keys, kind="stable")
+    order = stable_argsort(keys, n - 1)
     sorted_keys = keys[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     counts = np.bincount(sorted_keys, minlength=n)
     np.cumsum(counts, out=indptr[1:])
     return indptr, order.astype(np.int64)
+
+
+def _tag_arrays_valid(
+    tag_probs: Mapping[str, tuple[np.ndarray, np.ndarray]], m: int
+) -> bool:
+    """All-tags-at-once form of :func:`_check_tag_arrays`; True iff valid.
+
+    One pass over the concatenated arrays instead of a handful of numpy
+    calls per tag; duplicates are keyed by ``(tag index, edge id)``.
+    """
+    if any(
+        ids.shape != ps.shape or ids.ndim != 1
+        for ids, ps in tag_probs.values()
+    ):
+        return False
+    if not tag_probs:
+        return True
+    ids = np.concatenate([ids for ids, _ in tag_probs.values()])
+    if not ids.size:
+        return True
+    ps = np.concatenate([ps for _, ps in tag_probs.values()])
+    if ids.min() < 0 or ids.max() >= m:
+        return False
+    if not ((ps > 0.0) & (ps <= 1.0)).all():
+        return False
+    sizes = [ids.size for ids, _ in tag_probs.values()]
+    keys = np.repeat(np.arange(len(sizes), dtype=np.int64) * m, sizes) + ids
+    if not (keys[1:] > keys[:-1]).all():  # skip the sort when pre-sorted
+        keys = np.sort(keys)
+        if (keys[1:] == keys[:-1]).any():
+            return False
+    return True
+
+
+def _check_tag_arrays(
+    tag: str, ids: np.ndarray, ps: np.ndarray, m: int
+) -> None:
+    """Raise :class:`GraphConstructionError` naming ``tag`` if invalid."""
+    if ids.shape != ps.shape or ids.ndim != 1:
+        raise GraphConstructionError(
+            f"tag {tag!r}: edge_ids and probs must be 1-D and equal length"
+        )
+    if ids.size:
+        if ids.min() < 0 or ids.max() >= m:
+            raise GraphConstructionError(
+                f"tag {tag!r}: edge ids outside [0, {m})"
+            )
+        if np.unique(ids).size != ids.size:
+            raise GraphConstructionError(
+                f"tag {tag!r}: duplicate edge ids in tag assignment"
+            )
+        if (ps <= 0.0).any() or (ps > 1.0).any():
+            raise GraphConstructionError(
+                f"tag {tag!r}: probabilities must lie in (0, 1]"
+            )
 
 
 class TagGraph:
@@ -82,28 +138,16 @@ class TagGraph:
                     f"{name} contains node ids outside [0, {n})"
                 )
 
-        self._tag_probs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for tag, (edge_ids, probs) in sorted(tag_probs.items()):
-            ids = np.asarray(edge_ids, dtype=np.int64)
-            ps = np.asarray(probs, dtype=np.float64)
-            if ids.shape != ps.shape or ids.ndim != 1:
-                raise GraphConstructionError(
-                    f"tag {tag!r}: edge_ids and probs must be 1-D and equal length"
-                )
-            if ids.size:
-                if ids.min() < 0 or ids.max() >= m:
-                    raise GraphConstructionError(
-                        f"tag {tag!r}: edge ids outside [0, {m})"
-                    )
-                if np.unique(ids).size != ids.size:
-                    raise GraphConstructionError(
-                        f"tag {tag!r}: duplicate edge ids in tag assignment"
-                    )
-                if (ps <= 0.0).any() or (ps > 1.0).any():
-                    raise GraphConstructionError(
-                        f"tag {tag!r}: probabilities must lie in (0, 1]"
-                    )
-            self._tag_probs[tag] = (ids, ps)
+        self._tag_probs: dict[str, tuple[np.ndarray, np.ndarray]] = {
+            tag: (
+                np.asarray(edge_ids, dtype=np.int64),
+                np.asarray(probs, dtype=np.float64),
+            )
+            for tag, (edge_ids, probs) in sorted(tag_probs.items())
+        }
+        if not _tag_arrays_valid(self._tag_probs, m):
+            for tag, (ids, ps) in self._tag_probs.items():
+                _check_tag_arrays(tag, ids, ps, m)
 
         self._fwd_indptr, self._fwd_edges = _build_csr(self._src, self._n)
         self._rev_indptr, self._rev_edges = _build_csr(self._dst, self._n)

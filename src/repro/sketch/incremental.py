@@ -35,6 +35,19 @@ the same seed. Two properties make this possible:
 Repair is copy-on-write: :meth:`RepairableSketch.repair` returns a new
 sketch (sharing shard records and clean storage), so in-flight readers
 of the old sketch never observe a splice.
+
+Cost model
+----------
+Build and bit-parallel repair share one RR kernel: the edited graph is
+pre-gathered once (:class:`~repro.engine.bitworld.RRGather`, ``O(m)``),
+then :func:`~repro.engine.bitworld.bit_rr_replay` runs once per shard
+that holds a dirty set, over only that shard's dirty lanes — clean
+lanes are ghost lanes that never get a bit, and each dirty sample keeps
+the ``(block, lane)`` world it was built in. A pass costs a fixed
+per-BFS-level overhead plus the dirty lanes' frontier work, so a sparse
+batch costs about as much as the sets it dirties, plus the pre-gather,
+the inverted-index probe and an ``O(θ)`` splice. The scalar path
+replays each dirty set's own stream, one traversal per set.
 """
 
 from __future__ import annotations
@@ -45,11 +58,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.engine.bitworld import (
-    bit_rr_members,
+    RRGather,
+    bit_rr_replay,
     coin_thresholds,
     live_csr,
-    rr_world_of_sample,
-    world_edge_mask,
 )
 from repro.engine.parallel import DEFAULT_SHARD_SIZE, _shard_counts
 from repro.engine.rr_storage import RRCollection
@@ -180,12 +192,12 @@ class RepairableSketch:
             new_sets = self._resample_scalar(graph, edge_probs, set_ids)
         else:
             new_sets = self._resample_bitparallel(graph, edge_probs, set_ids)
-        stats["resampled_members"] = int(sum(s.size for s in new_sets))
+        stats["resampled_members"] = new_sets.total_members
         return replace(self, rr=self.rr.replaced(set_ids, new_sets)), stats
 
     def _resample_scalar(
         self, graph: TagGraph, edge_probs: np.ndarray, set_ids: np.ndarray
-    ) -> list[np.ndarray]:
+    ) -> RRCollection:
         starts = np.array([s.start for s in self.shards], dtype=np.int64)
         visited = np.zeros(graph.num_nodes, dtype=bool)
         sets: list[np.ndarray] = []
@@ -200,32 +212,29 @@ class RepairableSketch:
                     graph, int(shard.roots[local]), edge_probs, rng, visited
                 )
             )
-        return sets
+        return RRCollection.from_sets(sets, graph.num_nodes)
 
     def _resample_bitparallel(
         self, graph: TagGraph, edge_probs: np.ndarray, set_ids: np.ndarray
-    ) -> list[np.ndarray]:
-        thr_pad = np.zeros(self.edge_capacity, dtype=np.uint64)
-        thr_pad[: graph.num_edges] = coin_thresholds(edge_probs)
+    ) -> RRCollection:
+        """Replay the dirty lanes of each shard in one kernel pass."""
+        gather = _rr_gather(
+            graph, edge_probs, self.edge_capacity,
+            max(s.count for s in self.shards),
+        )
         starts = np.array([s.start for s in self.shards], dtype=np.int64)
         owner = np.searchsorted(starts, set_ids, side="right") - 1
-        sets: list[np.ndarray] = []
-        for shard_idx in np.unique(owner).tolist():
+        cuts = np.flatnonzero(np.diff(owner)) + 1
+        parts = []
+        for shard_idx, ids in zip(
+            owner[np.r_[0, cuts]].tolist(), np.split(set_ids, cuts)
+        ):
             shard = self.shards[shard_idx]
-            for sid in set_ids[owner == shard_idx].tolist():
-                local = sid - shard.start
-                block, lane = rr_world_of_sample(
-                    shard.roots, local, graph.num_nodes
-                )
-                mask = world_edge_mask(
-                    self.edge_capacity, thr_pad, shard.key, block, lane
-                )[: graph.num_edges]
-                sets.append(
-                    _replay_fixed_world(
-                        graph, int(shard.roots[local]), mask
-                    )
-                )
-        return sets
+            members, indptr = bit_rr_replay(
+                gather, shard.roots, shard.key, ids - shard.start
+            )
+            parts.append(RRCollection(members, indptr, graph.num_nodes))
+        return RRCollection.concat(parts)
 
     def cold_rebuild(
         self, graph: TagGraph, edge_probs: np.ndarray
@@ -305,10 +314,8 @@ def build_repairable_sketch(
     shards: list[_Shard] = []
     collections: list[RRCollection] = []
     visited = np.zeros(graph.num_nodes, dtype=bool)
-    thr53 = coin_thresholds(edge_probs) if mode == "bitparallel" else None
     if mode == "bitparallel":
-        rev_indptr, rev_edges = graph.reverse_csr()
-        live_indptr, live_edges = live_csr(rev_indptr, rev_edges, edge_probs)
+        gather = _rr_gather(graph, edge_probs, edge_capacity, max(counts))
     start = 0
     for count, stream in zip(counts, streams):
         shard_rng = np.random.default_rng(stream)
@@ -331,16 +338,7 @@ def build_repairable_sketch(
             )
         else:
             key = int(shard_rng.integers(_KEY_MAX, dtype=np.int64))
-            members, indptr = bit_rr_members(
-                graph.num_nodes,
-                edge_capacity,
-                live_indptr,
-                live_edges,
-                graph.src,
-                roots,
-                thr53,
-                key,
-            )
+            members, indptr = bit_rr_replay(gather, roots, key)
             collections.append(
                 RRCollection(members, indptr, graph.num_nodes)
             )
@@ -414,42 +412,14 @@ def trs_build_repairable_sketch(
     )
 
 
-def _replay_fixed_world(
-    graph: TagGraph, root: int, edge_mask: np.ndarray
-) -> np.ndarray:
-    """Level-synchronous reverse BFS over a fixed world, kernel order.
-
-    :func:`bit_rr_members` emits each sample's members root-first, then
-    per BFS level the newly-reached nodes in ascending node id (a
-    consequence of its packed ``(block, node, lane)`` canonical sort).
-    Queue-order BFS (:func:`~repro.sketch.rr_sets.rr_set_from_edge_mask`)
-    visits the same members but interleaves levels differently, so the
-    repair path replays level-by-level with a sorted frontier to stay
-    bit-identical.
-    """
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    visited[root] = True
-    members = [np.array([root], dtype=np.int64)]
-    frontier = members[0]
+def _rr_gather(
+    graph: TagGraph, edge_probs: np.ndarray, edge_capacity: int,
+    max_samples: int,
+) -> RRGather:
+    """Kernel pre-gathers of ``graph``, coins strided by the capacity."""
     rev_indptr, rev_edges = graph.reverse_csr()
-    src = graph.src
-    while frontier.size:
-        edge_start = rev_indptr[frontier]
-        degrees = rev_indptr[frontier + 1] - edge_start
-        total = int(degrees.sum())
-        if total == 0:
-            break
-        offsets = np.zeros(frontier.size, dtype=np.int64)
-        np.cumsum(degrees[:-1], out=offsets[1:])
-        positions = np.arange(total, dtype=np.int64)
-        positions += np.repeat(edge_start - offsets, degrees)
-        eids = rev_edges[positions]
-        eids = eids[edge_mask[eids]]
-        parents = np.unique(src[eids])  # unique() sorts — kernel order
-        parents = parents[~visited[parents]]
-        if parents.size == 0:
-            break
-        visited[parents] = True
-        members.append(parents)
-        frontier = parents
-    return np.concatenate(members)
+    live_indptr, live_edges = live_csr(rev_indptr, rev_edges, edge_probs)
+    return RRGather(
+        graph.num_nodes, edge_capacity, live_indptr, live_edges, graph.src,
+        coin_thresholds(edge_probs), max_samples,
+    )

@@ -114,6 +114,48 @@ class TestSamplerFlags:
         assert "invalid choice" in capsys.readouterr().err
 
 
+class TestServeRuntimeFlags:
+    """``serve`` refuses the shared runtime flags it cannot honour."""
+
+    @pytest.mark.parametrize("extra, flag", [
+        (["--checkpoint-dir", "ckpt"], "--checkpoint-dir"),
+        (["--checkpoint-dir", "ckpt", "--resume"], "--checkpoint-dir"),
+        (["--resume"], "--resume"),
+        (["--workers", "2", "--retries", "3"], "--retries"),
+    ], ids=["checkpoint-dir", "checkpoint-dir-resume", "resume",
+            "workers-retries"])
+    def test_rejected_with_usage_error(
+        self, workspace, capsys, tmp_path, extra, flag
+    ):
+        graph_path, _targets = workspace
+        extra = [str(tmp_path / a) if a == "ckpt" else a for a in extra]
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", str(graph_path), *extra])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_single_process_retries_accepted(
+        self, workspace, capsys, monkeypatch
+    ):
+        import io
+        import json
+        import sys
+
+        graph_path, targets_path = workspace
+        graph = load_tag_graph(graph_path)
+        targets = [
+            int(x) for x in targets_path.read_text().split() if x.strip()
+        ]
+        request = {"id": 1, "op": "find_seeds", "targets": targets,
+                   "tags": list(graph.tags[:3]), "k": 2, "engine": "trs",
+                   "seed": 0}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request)))
+        assert main(["serve", str(graph_path), "--retries", "3"]) == 0
+        reply = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert reply["ok"] and len(reply["seeds"]) == 2
+
+
 class TestTagsCommand:
     def test_outputs_tags(self, workspace, capsys):
         graph_path, targets_path = workspace
