@@ -6,9 +6,17 @@ statistics: IC cascade simulation, RR-set sampling, working-graph
 union + deterministic reverse BFS, path enumeration, and combined
 edge-probability aggregation. Useful for tracking performance
 regressions of the substrate itself.
+
+Two of them time Algorithm 1's kernels on the shape of the
+``tag-select`` benchmark workload (yelp-0.5, a 25-node target ball,
+3 upstream seeds, ``max_queue=1500``, exact enumeration up to 10
+edges): the capped path sweep of ``collect_paths`` and one exact
+path-set spread over 10 active edges.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,7 +27,18 @@ from repro.engine import SamplingEngine
 from repro.index import make_ltrs_manager
 from repro.index.itrs import _hybrid_rr_set
 from repro.sketch import reverse_reachable_set
-from repro.tags import TagSelectionConfig, top_paths_from_seed
+from repro.tags import (
+    PathSpreadEvaluator,
+    TagSelectionConfig,
+    collect_paths,
+    top_paths_from_seed,
+)
+
+#: Algorithm 1's knobs in the ``tag-select`` benchmark workload.
+TAG_SELECT = TagSelectionConfig(
+    per_pair_paths=3, max_path_targets=20, max_queue=1500,
+    exact_edge_limit=10,
+)
 
 
 def _setup():
@@ -80,6 +99,41 @@ def test_micro_path_enumeration(benchmark):
         frozenset({source}), cfg,
     )
     assert isinstance(found, dict)
+
+
+def _tag_select_setup():
+    graph = dataset("yelp", scale=0.5).graph
+    targets = [int(t) for t in bfs_targets(graph, 25)]
+    upstream = {
+        int(u) for t in targets for u in graph.in_neighbors(t)
+    } - set(targets)
+    return graph, sorted(upstream)[:3], targets
+
+
+def test_micro_path_sweep(benchmark):
+    graph, seeds, targets = _tag_select_setup()
+    graph.forward_arcs()  # built once per graph, outside the timing
+    paths = benchmark(collect_paths, graph, seeds, targets, TAG_SELECT, 0)
+    assert paths
+
+
+def test_micro_exact_spread(benchmark):
+    graph, seeds, targets = _tag_select_setup()
+    paths = collect_paths(graph, seeds, targets, TAG_SELECT, rng=0)
+    # The largest path prefix whose edges fit the exact-enumeration cap.
+    active, edges = [], set()
+    for idx, path in enumerate(paths):
+        if len(edges | set(path.edge_ids)) > TAG_SELECT.exact_edge_limit:
+            continue
+        edges |= set(path.edge_ids)
+        active.append(idx)
+    evaluator = PathSpreadEvaluator(
+        graph, seeds, targets, paths,
+        replace(TAG_SELECT, evaluator_mode="exact"), rng=0,
+    )
+    spread = benchmark(evaluator.spread, active)
+    assert len(edges) == TAG_SELECT.exact_edge_limit
+    assert 0.0 < spread <= len(targets)
 
 
 def test_micro_rr_batch_scalar(benchmark):

@@ -28,6 +28,11 @@ import numpy as np
 from repro.exceptions import GraphConstructionError, InvalidQueryError
 from repro.utils.mathx import stable_argsort
 
+#: One edge's ``((tag, -ln P(e|c)), …)``, sorted by tag.
+TagCosts = tuple[tuple[str, float], ...]
+#: One forward arc: ``(edge_id, child, tag_costs)``.
+Arc = tuple[int, int, TagCosts]
+
 
 def _build_csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Group edge ids by node key; return ``(indptr, edge_ids)`` CSR arrays."""
@@ -152,7 +157,8 @@ class TagGraph:
         self._fwd_indptr, self._fwd_edges = _build_csr(self._src, self._n)
         self._rev_indptr, self._rev_edges = _build_csr(self._dst, self._n)
         self._edge_tag_maps: list[dict[str, float]] | None = None
-        self._edge_tag_neglogs: list[list[tuple[str, float]]] | None = None
+        self._edge_tag_neglogs: list[TagCosts] | None = None
+        self._forward_arcs: list[tuple[Arc, ...]] | None = None
         # Opt-in aggregation memo (see enable_probability_cache). Off by
         # default so library users keep the allocation-per-call contract.
         self._prob_cache: (
@@ -178,6 +184,7 @@ class TagGraph:
         state["_prob_cache_lock"] = None
         state["_prob_cache"] = None
         state["_prob_cache_max"] = 0
+        state["_forward_arcs"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -356,8 +363,8 @@ class TagGraph:
             self._edge_tag_maps = maps
         return self._edge_tag_maps
 
-    def edge_tag_neglogs(self) -> list[list[tuple[str, float]]]:
-        """Per-edge ``[(tag, -ln P(e|c)), …]`` lists (cached).
+    def edge_tag_neglogs(self) -> list[TagCosts]:
+        """Per-edge ``((tag, -ln P(e|c)), …)`` tuples, sorted by tag (cached).
 
         The hot path-enumeration loop consumes costs rather than
         probabilities; caching the logarithms here removes a ``math.log``
@@ -365,10 +372,35 @@ class TagGraph:
         """
         if self._edge_tag_neglogs is None:
             self._edge_tag_neglogs = [
-                [(tag, -math.log(p)) for tag, p in sorted(mapping.items())]
+                tuple(
+                    (tag, -math.log(p)) for tag, p in sorted(mapping.items())
+                )
                 for mapping in self._edge_tag_maps_cache()
             ]
         return self._edge_tag_neglogs
+
+    def forward_arcs(self) -> list[tuple[Arc, ...]]:
+        """Per-node out-arcs ``(edge_id, child, tag_costs)`` (cached).
+
+        ``forward_arcs()[v]`` lists the edges leaving ``v`` in
+        :meth:`forward_csr` order; ``tag_costs`` is that edge's
+        :meth:`edge_tag_neglogs` entry. Path enumeration walks these
+        plain tuples, so a pop costs no array slicing or numpy scalar
+        conversion. Dropped when the graph is pickled.
+        """
+        if self._forward_arcs is None:
+            indptr = self._fwd_indptr.tolist()
+            edges = self._fwd_edges.tolist()
+            dst = self._dst.tolist()
+            neglogs = self.edge_tag_neglogs()
+            self._forward_arcs = [
+                tuple(
+                    (eid, dst[eid], neglogs[eid])
+                    for eid in edges[indptr[v]:indptr[v + 1]]
+                )
+                for v in range(self._n)
+            ]
+        return self._forward_arcs
 
     def all_edge_probabilities(self) -> np.ndarray:
         """``P(e | C)`` for the full vocabulary — the tag-agnostic graph."""

@@ -11,9 +11,12 @@ probability the product of the chosen ``P(e | c)``.
 Enumeration is best-first over partial paths ordered by probability.
 Because every extension multiplies by a factor ≤ 1, partial-path
 probability is an admissible priority: paths pop in exactly
-non-increasing probability order, so the first ``l`` arrivals at the
-target are the top-``l`` (the same output Eppstein's algorithm would
-give restricted to simple paths).
+non-increasing probability order, so — while neither cap of
+``TagSelectionConfig.max_queue`` binds — the first ``l`` arrivals at
+the target are the top-``l`` (the same output Eppstein's algorithm
+would give restricted to simple paths). Once the pop cap or the
+frontier cap binds, they are the top-``l`` of the partial paths the
+capped sweep kept.
 
 Following the paper's Section 4.2 observation (3), seed nodes other
 than the path's own source are never entered: every seed is already
@@ -25,7 +28,6 @@ own shorter suffix. On the paper's Figure 9 example this prunes the
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -98,7 +100,12 @@ class TagSelectionConfig:
     prob_floor:
         Partial paths below this probability are abandoned.
     max_queue:
-        Safety cap on the best-first frontier per pair.
+        Cap on one seed's best-first sweep, which serves all of that
+        seed's targets at once: the sweep stops after this many pops,
+        and the frontier never holds more than this many partial
+        paths. When a pop's children fill the frontier, the ones
+        earlier in adjacency order (edge, then tag) are kept and the
+        rest dropped, whatever their cost.
     mc_samples:
         Monte-Carlo samples for path-set spread evaluation.
     rr_theta:
@@ -147,8 +154,8 @@ class TagSelectionConfig:
 
 
 # Heap entries are plain tuples (cost, tiebreak, node, nodes, edge_ids,
-# tags): tuple comparison stays in C and the unique tiebreak guarantees
-# the payload fields are never compared.
+# tags): tuple comparison stays in C and the unique tiebreak (the push
+# number) guarantees the payload fields are never compared.
 
 
 def top_paths_from_seed(
@@ -163,22 +170,24 @@ def top_paths_from_seed(
 
     One best-first sweep from ``source`` serves all targets at once —
     the frontier pops partial paths in non-increasing probability order,
-    so the first ``limit_per_target`` arrivals at each target are that
-    pair's top paths. ``forbidden`` nodes (other seeds) are never
-    entered mid-path. Returns ``{target: paths}``; targets with no
-    surviving path are absent.
+    so, while neither ``config.max_queue`` cap binds, the first
+    ``limit_per_target`` arrivals at each target are that pair's top
+    paths. ``forbidden`` nodes (other seeds) are never entered, so a
+    target among them gets no path. Returns ``{target: paths}``;
+    targets with no surviving path are absent.
     """
     check_node_ids([source], graph.num_nodes, context="top_paths_from_seed")
     target_set = {int(t) for t in targets if int(t) != source}
     check_node_ids(target_set, graph.num_nodes, context="top_paths_from_seed")
+    # A forbidden target can never finish; sweeping for it would only
+    # run the sweep on to its pop cap.
+    target_set.difference_update(forbidden)
     if not target_set:
         return {}
 
-    counter = itertools.count()
-    heap: list[tuple] = [(0.0, next(counter), source, (source,), (), ())]
-    fwd_indptr, fwd_edges = graph.forward_csr()
-    dst = graph.dst
-    tag_neglogs = graph.edge_tag_neglogs()
+    heap: list[tuple] = [(0.0, 0, source, (source,), (), ())]
+    pushes = 1
+    arcs = graph.forward_arcs()
     found: dict[int, list[TagPath]] = {}
     unfinished = set(target_set)
     floor_cost = (
@@ -186,10 +195,11 @@ def top_paths_from_seed(
     )
     max_hops = config.max_hops
     max_queue = config.max_queue
+    heappop, heappush = heapq.heappop, heapq.heappush
     pops = 0
 
     while heap and unfinished and pops < max_queue:
-        cost, _tie, node, nodes, edge_ids, tags = heapq.heappop(heap)
+        cost, _tie, node, nodes, edge_ids, tags = heappop(heap)
         pops += 1
         if node in target_set:
             bucket = found.setdefault(node, [])
@@ -208,32 +218,37 @@ def top_paths_from_seed(
             # keep expanding through it.
         if len(edge_ids) >= max_hops:
             continue
-        on_path = set(nodes)
-        for eid in fwd_edges[fwd_indptr[node]:fwd_indptr[node + 1]].tolist():
-            child = int(dst[eid])
-            if child in on_path:
-                continue
-            if child in forbidden and child != source:
+        # The frontier holds at most max_queue entries and cannot shrink
+        # during an expansion, so the expansion ends at the push that
+        # fills it; the children left over are dropped, whatever their
+        # cost.
+        room = max_queue - len(heap)
+        for eid, child, tag_costs in arcs[node]:
+            if child in nodes or child in forbidden:
                 continue
             child_nodes = nodes + (child,)
             child_edges = edge_ids + (eid,)
-            for tag, neglog in tag_neglogs[eid]:
+            for tag, neglog in tag_costs:
                 child_cost = cost + neglog
                 if child_cost > floor_cost:
                     continue
-                if len(heap) >= max_queue:
-                    break
-                heapq.heappush(
+                heappush(
                     heap,
                     (
                         child_cost,
-                        next(counter),
+                        pushes,
                         child,
                         child_nodes,
                         child_edges,
                         tags + (tag,),
                     ),
                 )
+                pushes += 1
+                room -= 1
+                if not room:
+                    break
+            if not room:
+                break
     return found
 
 

@@ -11,7 +11,9 @@ Three estimators are provided, composed by the paper's two-step
 strategy:
 
 * **exact** — possible-world enumeration when few distinct edges are
-  active (cheap early, exact; also the test oracle);
+  active (cheap early, exact): all ``2^c`` worlds at once, as packed
+  world lanes relaxed over the ``c`` active edges
+  (:func:`exact_path_spread`);
 * **mc** — IC cascades over the masked graph (the paper's choice while
   the running spread is below ``OPT'_T``);
 * **rr** — pre-sampled reverse sketches: one coin per ``(edge, tag)``
@@ -30,12 +32,82 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro import obs
-from repro.diffusion.cascade import reachable_targets, simulate_cascade
+from repro.diffusion.cascade import simulate_cascade
 from repro.exceptions import InvalidQueryError
 from repro.graphs.tag_graph import TagGraph
 from repro.tags.paths import TagPath, TagSelectionConfig
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_node_ids
+
+
+#: Worlds per block of :func:`exact_path_spread` (2^14); bounds its
+#: memory whatever the number of active edges.
+EXACT_BLOCK_BITS = 14
+
+
+def exact_path_spread(
+    src: Sequence[int],
+    dst: Sequence[int],
+    probs: np.ndarray,
+    seeds: Sequence[int],
+    targets: Sequence[int],
+) -> float:
+    """Expected number of ``targets`` reached from ``seeds`` over ``c`` arcs.
+
+    Enumerates all ``2^c`` possible worlds of the arcs
+    ``src[i] -> dst[i]`` (live with probability ``probs[i]``): world
+    ``w`` keeps arc ``i`` iff bit ``i`` of ``w`` is set. Each node holds
+    one packed lane of worlds (a Python int, bit ``w`` set when ``w``
+    reaches it), so one relaxation over the arcs advances every world
+    at once; it repeats until no lane changes. A world's probability is
+    the product of its arc factors taken in arc order, and the total is
+    the world-ordered running sum of ``prob * count`` — the same float
+    operations, in the same order, as a one-BFS-per-world loop.
+    ``targets`` must be distinct.
+    """
+    count = len(src)
+    low_bits = min(count, EXACT_BLOCK_BITS)
+    width = 1 << low_bits  # worlds per block
+    full = (1 << width) - 1
+    world = np.arange(width, dtype=np.int64)
+    low_prob = np.ones(width, dtype=np.float64)
+    low_alive = []
+    for pos in range(low_bits):
+        low_prob *= np.where(world >> pos & 1, probs[pos], 1.0 - probs[pos])
+        half = 1 << pos
+        # Bits [half, 2*half) of every period of 2*half worlds.
+        low_alive.append(
+            ((1 << half) - 1 << half) * (full // ((1 << 2 * half) - 1))
+        )
+    targets = list(targets)
+    num_bytes = (width + 7) // 8
+    total = np.zeros(1, dtype=np.float64)
+    for block in range(1 << (count - low_bits)):
+        prob = low_prob.copy()
+        alive = list(low_alive)
+        for pos in range(low_bits, count):
+            live = block >> (pos - low_bits) & 1
+            prob *= probs[pos] if live else 1.0 - probs[pos]
+            alive.append(full if live else 0)
+        reach = dict.fromkeys(seeds, full)
+        changed = True
+        while changed:
+            changed = False
+            for pos in range(count):
+                lane = reach.get(src[pos], 0) & alive[pos]
+                head = reach.get(dst[pos], 0)
+                if lane & ~head:
+                    reach[dst[pos]] = head | lane
+                    changed = True
+        lanes = b"".join(
+            reach.get(t, 0).to_bytes(num_bytes, "little") for t in targets
+        )
+        reached = np.unpackbits(
+            np.frombuffer(lanes, dtype=np.uint8), bitorder="little"
+        ).reshape(len(targets), num_bytes * 8)[:, :width]
+        counts = reached.sum(axis=0, dtype=np.int64)
+        total = np.cumsum(np.concatenate((total, prob * counts)))[-1:]
+    return float(total[0])
 
 
 class PathSpreadEvaluator:
@@ -189,24 +261,13 @@ class PathSpreadEvaluator:
     def _exact_spread(
         self, edge_probs: np.ndarray, active_edges: np.ndarray
     ) -> float:
-        total = 0.0
-        count = active_edges.size
-        for bits in range(1 << count):
-            mask = np.zeros(self._graph.num_edges, dtype=bool)
-            prob = 1.0
-            for pos in range(count):
-                eid = int(active_edges[pos])
-                if bits >> pos & 1:
-                    mask[eid] = True
-                    prob *= edge_probs[eid]
-                else:
-                    prob *= 1.0 - edge_probs[eid]
-            if prob == 0.0:
-                continue
-            total += prob * reachable_targets(
-                self._graph, self._seeds, self._targets, mask
-            )
-        return total
+        return exact_path_spread(
+            self._graph.src[active_edges].tolist(),
+            self._graph.dst[active_edges].tolist(),
+            edge_probs[active_edges],
+            self._seeds,
+            self._targets,
+        )
 
     # ------------------------------------------------------------------
     # RR-sketch estimation
