@@ -11,7 +11,10 @@ Two of them time Algorithm 1's kernels on the shape of the
 ``tag-select`` benchmark workload (yelp-0.5, a 25-node target ball,
 3 upstream seeds, ``max_queue=1500``, exact enumeration up to 10
 edges): the capped path sweep of ``collect_paths`` and one exact
-path-set spread over 10 active edges.
+path-set spread over 10 active edges. ``test_micro_indexed_rr`` times
+Algorithm 2's LL-TRS seed-step traversal on the same ball (θ=1000
+working graphs over r=2 tags): the scalar loop, one working-graph mask
+and one Python BFS per RR set, against the 64-lane indexed kernel.
 """
 
 from __future__ import annotations
@@ -19,14 +22,17 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from benchmarks._harness import SKETCH, dataset
+from repro.core.initialization import frequency_tags
 from repro.datasets import bfs_targets
 from repro.diffusion import simulate_cascade
 from repro.engine import SamplingEngine
-from repro.index import make_ltrs_manager
-from repro.index.itrs import _hybrid_rr_set
-from repro.sketch import reverse_reachable_set
+from repro.index import make_lltrs_manager, make_ltrs_manager, theta_c
+from repro.index.itrs import sample_indexed_rr_sets
+from repro.sketch import SketchConfig, reverse_reachable_set
+from tests.test_indexed_kernel import hybrid_rr_set
 from repro.tags import (
     PathSpreadEvaluator,
     TagSelectionConfig,
@@ -83,7 +89,7 @@ def test_micro_rr_set_indexed(benchmark):
     def indexed_rr():
         choices = manager.sample_world_choices(tags, rng)
         working = manager.working_mask(choices, out=buffer)
-        return _hybrid_rr_set(graph, root, working, covered, probs, rng)
+        return hybrid_rr_set(graph, root, working, covered, probs, rng)
 
     rr = benchmark(indexed_rr)
     assert root in rr.tolist()
@@ -134,6 +140,52 @@ def test_micro_exact_spread(benchmark):
     spread = benchmark(evaluator.spread, active)
     assert len(edges) == TAG_SELECT.exact_edge_limit
     assert 0.0 < spread <= len(targets)
+
+
+@pytest.mark.parametrize("impl", ["scalar", "kernel"])
+def test_micro_indexed_rr(benchmark, impl):
+    """θ=1000 LL-TRS working graphs over r=2 tags: scalar loop vs kernel."""
+    graph, _seeds, targets = _tag_select_setup()
+    tags = list(frequency_tags(graph, targets, 2))
+    theta = 1000
+    config = SketchConfig()
+    manager = make_lltrs_manager(graph, targets, config)
+    manager.ensure_indexes(
+        tags, theta_c(theta, len(tags), config.alpha, config.delta), rng=0
+    )
+    probs = graph.edge_probabilities(tags)
+    target_arr = np.asarray(targets, dtype=np.int64)
+
+    if impl == "scalar":
+        rng = np.random.default_rng(0)
+        covered = manager.covered_mask
+        buffer = np.zeros(graph.num_edges, dtype=bool)
+
+        def traverse():
+            sets = []
+            for root in rng.choice(target_arr, size=theta).tolist():
+                choices = manager.sample_world_choices(tags, rng)
+                working = manager.working_mask(choices, out=buffer)
+                sets.append(
+                    hybrid_rr_set(graph, root, working, covered, probs, rng)
+                )
+            return sets
+    else:
+        rng = np.random.default_rng(0)
+        highs = [target_arr.size] + [
+            manager.index_for(tag).num_worlds for tag in tags
+        ]
+
+        def traverse():
+            draws = rng.integers(0, highs, size=(theta, len(highs)))
+            key = int(rng.integers(np.iinfo(np.int64).max, dtype=np.int64))
+            return sample_indexed_rr_sets(
+                graph, manager, tags, probs, target_arr[draws[:, 0]],
+                draws[:, 1:], key,
+            )
+
+    sets = benchmark(traverse)
+    assert len(sets) == theta
 
 
 def test_micro_rr_batch_scalar(benchmark):

@@ -26,6 +26,7 @@ from repro.core.initialization import (
 )
 from repro.core.problem import HistoryEntry, JointQuery, JointResult
 from repro.diffusion.monte_carlo import estimate_spread
+from repro.engine.parallel import SamplingEngine
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.graphs.tag_graph import TagGraph
 from repro.index.itrs import make_lltrs_manager, make_ltrs_manager
@@ -37,7 +38,6 @@ from repro.utils.rng import ensure_rng
 from repro.utils.timing import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.parallel import SamplingEngine
     from repro.engine.runtime import RunBudget
 
 SEED_INITS = ("random", "ims")
@@ -68,7 +68,11 @@ class JointConfig:
     tag_config:
         Path-enumeration / tag-selection knobs.
     eval_samples:
-        MC samples for the per-half-iteration history spreads.
+        IC cascades behind each per-half-iteration history spread. They
+        run on the bit-parallel cascade kernel: through the ``sampler``
+        when one is given, otherwise on an in-process serial
+        bit-parallel engine built for the call (the same key
+        derivation, so both give bit-identical histories).
     eliminate_fraction:
         When below 1.0, the tag search space is first reduced to this
         fraction by frequency (Section 5.3's elimination); 1.0 disables.
@@ -152,6 +156,12 @@ def jointly_select(
         and the per-half-iteration spread measurements then run on the
         fault-tolerant sampling substrate (with whatever retry policy,
         fault plan, and checkpointing the engine was built with).
+        ``None`` measures the history, and runs the index engines'
+        OPT_T pilot, on an in-process serial bit-parallel engine built
+        for this call: with an index seed engine the result equals the
+        one ``SamplingEngine("bitparallel", workers=1)`` gives, bit for
+        bit. Only a ``"trs"``/``"imm"``/``"greedy-mc"`` seed step stays
+        on the scalar path.
     budget:
         Optional :class:`~repro.engine.RunBudget` spanning the whole
         run. A tripped limit raises
@@ -199,13 +209,20 @@ def jointly_select(
                         graph, query.r, universe=universe, rng=rng
                     )
 
+            # A fresh engine per call: engines count operations, so one
+            # must never be shared across concurrent queries.
+            history_engine = (
+                sampler if sampler is not None
+                else SamplingEngine(mode="bitparallel", workers=1)
+            )
+
             def measure(s: tuple[int, ...], c: tuple[str, ...]) -> float:
                 if not c:
                     return 0.0
                 return estimate_spread(
                     graph, s, targets, c,
                     num_samples=config.eval_samples, rng=rng,
-                    engine=sampler, budget=budget,
+                    engine=history_engine, budget=budget,
                 )
 
             spread = measure(seeds, tags)

@@ -39,6 +39,16 @@ rows. The slot permutation is deterministic (stable sort), recorded via
 :func:`rr_world_of_sample`, and inverted during collection so sample
 ``i`` keeps its drawn root.
 
+Indexed worlds
+--------------
+The index-based engines (I-TRS / L-TRS / LL-TRS) fix part of each world
+in advance: an edge covered by the possible-world index is live in a
+lane iff the lane's chosen per-tag worlds hold it. The RR kernel takes
+those edges as *forced-live words* — one uint64 per (block, covered
+edge) whose bit ``b`` is lane ``b``'s verdict — and draws counter
+coins only for the uncovered edges. :func:`transpose_bits64` turns 64
+lanes' packed world rows into those per-edge words.
+
 Because every coin is a pure function of its world, any subset of a
 shard's samples can be replayed in the worlds it was first drawn in:
 :func:`bit_rr_replay` does that over shared pre-gathers
@@ -139,6 +149,34 @@ def world_edge_mask(
     return (z >> U64(11)) < thr53
 
 
+def transpose_bits64(rows: np.ndarray) -> np.ndarray:
+    """Transpose a batch of 64x64 bit matrices.
+
+    ``rows`` is ``(N, 64)`` uint64; bit ``r`` of ``out[i, c]`` is bit
+    ``c`` of ``rows[i, r]``. Six rounds of shift-and-mask swaps
+    (one per bit of the row/column index) exchange the off-diagonal
+    sub-blocks in place, so a batch of matrices costs a few vector ops
+    over its ``64 N`` words instead of a 64x unpack.
+    """
+    out = np.array(rows, dtype=np.uint64, copy=True, order="C")
+    if out.shape[-1] != 64:
+        raise ValueError("transpose_bits64 needs rows of 64 words")
+    n = out.shape[0]
+    width = 32
+    mask = U64(0x00000000FFFFFFFF)
+    while width:
+        # Rows whose index has bit ``width`` clear pair with row+width.
+        pairs = out.reshape(n, 64 // (2 * width), 2, width)
+        low = pairs[:, :, 0, :]
+        high = pairs[:, :, 1, :]
+        swap = ((low >> U64(width)) ^ high) & mask
+        high ^= swap
+        low ^= swap << U64(width)
+        width >>= 1
+        mask ^= mask << U64(width)
+    return out
+
+
 def rr_world_of_sample(
     roots: np.ndarray, sample: int, num_nodes: int
 ) -> tuple[int, int]:
@@ -187,6 +225,8 @@ def _bit_rr_block_range(
     pack_dtype: type,
     slot_chunks: list[np.ndarray],
     node_chunks: list[np.ndarray],
+    rev_col: np.ndarray | None = None,
+    forced: np.ndarray | None = None,
 ) -> None:
     """Reverse-BFS the slots of one block range; append (slot, node) pairs.
 
@@ -204,6 +244,12 @@ def _bit_rr_block_range(
     Index arrays arrive in the narrowest safe dtype (int32 when slots,
     nodes, and per-batch visited cells all fit) — the level loop is
     memory-bound, so halving index width buys real throughput.
+
+    ``forced`` (``(blocks here, columns)`` uint64, with ``rev_col``
+    mapping each edge position to its column or ``-1``) replaces the
+    coin of every position with a column: such an edge is live in a
+    lane iff the lane's bit of its block's forced word is set. Only
+    positions with ``rev_col == -1`` hash a counter coin.
     """
     idx = slots.dtype
     n_idx = idx.type(num_nodes)
@@ -285,39 +331,30 @@ def _bit_rr_block_range(
             cand = np.repeat(row_mask, degrees) & ~visited[
                 (er_block - block_lo) * n_idx + er_parent
             ]
-            ebase = (
-                er_block.astype(np.uint64) * block_stride
-                + rev_ctr[positions]
-            )
-            er_thr = rev_thr[positions]
-            if float(np.bitwise_count(cand).mean()) >= ROW_DENSE_LANES:
-                # Near-full rows: hashing all 64 lanes in one 2-D pass
-                # beats extracting the active ones first.
-                live = _dense_coins(ebase, er_thr, cand, key)
-                alive = np.flatnonzero(live)
-                if alive.size == 0:
-                    return
-                bits = np.unpackbits(
-                    live[alive, None].view(np.uint8),
-                    axis=1,
-                    bitorder="little",
+            if forced is None:
+                row, lane_col = _row_coin_pairs(
+                    er_block, positions, cand, block_stride, rev_ctr,
+                    rev_thr, key,
                 )
-                bit_row, bit_lane = np.nonzero(bits)
-                row = alive[bit_row]
-                lane_col = bit_lane
             else:
-                # Moderate density: expand candidate lanes to pairs and
-                # hash exactly one coin per active (edge row, lane).
-                cbits = np.unpackbits(
-                    cand[:, None].view(np.uint8), axis=1, bitorder="little"
+                # Covered rows read their lanes off the forced words;
+                # only the rest hash coins.
+                col = rev_col[positions]
+                is_cov = col >= 0
+                crows = np.flatnonzero(is_cov)
+                frow, flane = _word_pairs(
+                    forced[er_block[crows] - block_lo, col[crows]]
+                    & cand[crows]
                 )
-                crow, clane = np.nonzero(cbits)
-                z = mix64((ebase[crow] | clane.astype(np.uint64)) ^ key)
-                ok = np.flatnonzero((z >> U64(11)) < er_thr[crow])
-                if ok.size == 0:
-                    return
-                row = crow[ok]
-                lane_col = clane[ok]
+                urows = np.flatnonzero(~is_cov)
+                urow, ulane = _row_coin_pairs(
+                    er_block[urows], positions[urows], cand[urows],
+                    block_stride, rev_ctr, rev_thr, key,
+                )
+                row = np.concatenate([crows[frow], urows[urow]])
+                lane_col = np.concatenate([flane, ulane])
+            if row.size == 0:
+                return
             packed = (
                 (er_block[row].astype(pack_dtype, copy=False) << node_bits)
                 | er_parent[row]
@@ -340,18 +377,28 @@ def _bit_rr_block_range(
             edge_block = edge_slot >> 6
             lane = (edge_slot & 63).astype(np.uint64)
             visited_key = (edge_block - block_lo) * n_idx + parent
-            # One fused filter: the lane's counter coin must land AND
-            # the world must not have reached the parent already.
-            z = mix64(
-                (
-                    edge_block.astype(np.uint64) * block_stride
-                    + (rev_ctr[positions] | lane)
+            # One fused filter: the lane's edge must be live (counter
+            # coin, or forced word) AND the world must not have reached
+            # the parent already.
+            if forced is None:
+                live = _pair_coins(
+                    edge_block, positions, lane, block_stride, rev_ctr,
+                    rev_thr, key,
                 )
-                ^ key
-            )
-            good = ((z >> U64(11)) < rev_thr[positions]) & (
-                (visited[visited_key] >> lane) & _ONE == 0
-            )
+            else:
+                col = rev_col[positions]
+                is_cov = col >= 0
+                live = np.empty(total, dtype=bool)
+                c = np.flatnonzero(is_cov)
+                live[c] = (
+                    forced[edge_block[c] - block_lo, col[c]] >> lane[c]
+                ) & _ONE != 0
+                u = np.flatnonzero(~is_cov)
+                live[u] = _pair_coins(
+                    edge_block[u], positions[u], lane[u], block_stride,
+                    rev_ctr, rev_thr, key,
+                )
+            good = live & ((visited[visited_key] >> lane) & _ONE == 0)
             hit = np.flatnonzero(good)
             if hit.size == 0:
                 return
@@ -365,6 +412,64 @@ def _bit_rr_block_range(
         )
 
 
+def _word_pairs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, lane) of every set bit of a uint64 word array, row-major."""
+    bits = np.unpackbits(
+        words[:, None].view(np.uint8), axis=1, bitorder="little"
+    )
+    return np.nonzero(bits)
+
+
+def _row_coin_pairs(
+    er_block: np.ndarray,
+    positions: np.ndarray,
+    cand: np.ndarray,
+    block_stride: np.uint64,
+    rev_ctr: np.ndarray,
+    rev_thr: np.ndarray,
+    key: np.uint64,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, lane) of every candidate lane whose counter coin lands."""
+    if cand.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    ebase = er_block.astype(np.uint64) * block_stride + rev_ctr[positions]
+    er_thr = rev_thr[positions]
+    if float(np.bitwise_count(cand).mean()) >= ROW_DENSE_LANES:
+        # Near-full rows: hashing all 64 lanes in one 2-D pass beats
+        # extracting the active ones first.
+        live = _dense_coins(ebase, er_thr, cand, key)
+        alive = np.flatnonzero(live)
+        bit_row, bit_lane = _word_pairs(live[alive])
+        return alive[bit_row], bit_lane
+    # Moderate density: expand candidate lanes to pairs and hash
+    # exactly one coin per active (edge row, lane).
+    crow, clane = _word_pairs(cand)
+    z = mix64((ebase[crow] | clane.astype(np.uint64)) ^ key)
+    ok = np.flatnonzero((z >> U64(11)) < er_thr[crow])
+    return crow[ok], clane[ok]
+
+
+def _pair_coins(
+    edge_block: np.ndarray,
+    positions: np.ndarray,
+    lane: np.ndarray,
+    block_stride: np.uint64,
+    rev_ctr: np.ndarray,
+    rev_thr: np.ndarray,
+    key: np.uint64,
+) -> np.ndarray:
+    """One counter coin per (block, edge position, lane) triple."""
+    z = mix64(
+        (
+            edge_block.astype(np.uint64) * block_stride
+            + (rev_ctr[positions] | lane)
+        )
+        ^ key
+    )
+    return (z >> U64(11)) < rev_thr[positions]
+
+
 class RRGather:
     """Edge-aligned pre-gathers of one RR kernel input graph.
 
@@ -375,11 +480,16 @@ class RRGather:
     one shard and picks the narrowest safe index dtype (int32 when
     slots, nodes, and per-batch visited cells all fit — the level loop
     is memory-bound, so halving index width buys real throughput).
+
+    ``edge_col`` (length ``m``) maps each edge whose liveness comes from
+    forced-live words to its column in those words, and every coin edge
+    to ``-1``; see :func:`bit_rr_replay`'s ``forced``.
     """
 
     __slots__ = (
         "num_nodes", "node_bits", "block_stride", "idx", "pack_dtype",
-        "rev_indptr", "rev_parent", "rev_thr", "rev_ctr",
+        "rev_indptr", "rev_parent", "rev_thr", "rev_ctr", "rev_col",
+        "num_cols",
     )
 
     def __init__(
@@ -391,6 +501,7 @@ class RRGather:
         src: np.ndarray,
         thr53: np.ndarray,
         max_samples: int,
+        edge_col: np.ndarray | None = None,
     ) -> None:
         num_blocks = (max_samples + 63) // 64
         blocks_per_batch = max(1, DEFAULT_BLOCK_CELLS // max(num_nodes, 1))
@@ -413,6 +524,12 @@ class RRGather:
         self.rev_parent = src[rev_edges].astype(idx, copy=False)
         self.rev_thr = thr53[rev_edges]
         self.rev_ctr = rev_edges.astype(np.uint64) << U64(6)
+        if edge_col is None:
+            self.rev_col = None
+            self.num_cols = 0
+        else:
+            self.rev_col = edge_col[rev_edges].astype(np.int64, copy=False)
+            self.num_cols = int(edge_col.max(initial=-1)) + 1
 
 
 def bit_rr_replay(
@@ -420,6 +537,8 @@ def bit_rr_replay(
     roots: np.ndarray,
     key: int,
     samples: np.ndarray | None = None,
+    forced=None,
+    on_batch=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replay the RR sets of ``samples`` (ascending ids; all if None).
 
@@ -429,6 +548,16 @@ def bit_rr_replay(
     never get a bit. Because coins are counter-based, a replayed set is
     bit-identical to the same row of a full run. Returns flat CSR
     ``(members, indptr)`` with one row per requested sample.
+
+    With a gather built with ``edge_col``, ``forced(slot_samples)``
+    supplies each block batch's forced-live words: ``slot_samples``
+    holds the sample ids of the batch's slots in slot order (a ragged
+    last block is short), and the result is ``(blocks, columns)``
+    uint64 whose row ``j`` bit ``b`` is the verdict for slot
+    ``64 j + b``. ``on_batch(new_members, partial)`` runs after every
+    block batch; ``partial()`` returns ``(sample_ids, members,
+    indptr)`` for the samples finished so far, so a caller stopping
+    the run can keep them.
     """
     roots = np.asarray(roots, dtype=np.int64)
     S = int(roots.size)
@@ -453,27 +582,58 @@ def bit_rr_replay(
 
     slot_chunks: list[np.ndarray] = []
     node_chunks: list[np.ndarray] = []
+
+    def collect(done: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat CSR of the samples of the first ``done`` slots."""
+        rows = (
+            samples if done == slots.size
+            else np.sort(slot_order[slots[:done]])
+        )
+        if not slot_chunks:
+            return rows, np.empty(0, dtype=np.int64), np.zeros(
+                rows.size + 1, dtype=np.int64
+            )
+        owner = slot_order[np.concatenate(slot_chunks)]
+        order = stable_argsort(owner, S - 1)
+        members = np.concatenate(node_chunks)[order]
+        counts = np.bincount(owner, minlength=S)[rows]
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return rows, members, indptr
+
     bounds = np.searchsorted(
         slots,
-        [lo * 64 for lo, _ in _block_batches((S + 63) // 64, num_nodes)]
+        [
+            lo * 64
+            for lo, _ in _block_batches(
+                (S + 63) // 64, max(num_nodes, gather.num_cols)
+            )
+        ]
         + [S],
     )
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         if lo == hi:
             continue
+        words = None
+        if forced is not None:
+            first = (int(slots[lo]) >> 6) * 64
+            last = min(((int(slots[hi - 1]) >> 6) + 1) * 64, S)
+            words = forced(slot_order[first:last])
+        chunks_before = len(node_chunks)
         _bit_rr_block_range(
             num_nodes, gather.block_stride, gather.rev_indptr,
             gather.rev_parent, gather.rev_thr, gather.rev_ctr,
             int(slots[lo]), slots[lo:hi], slot_roots[lo:hi], key,
             gather.node_bits, gather.pack_dtype, slot_chunks, node_chunks,
+            gather.rev_col, words,
         )
+        if on_batch is not None:
+            on_batch(
+                sum(chunk.size for chunk in node_chunks[chunks_before:]),
+                lambda done=hi: collect(done),
+            )
 
-    owner = slot_order[np.concatenate(slot_chunks)]
-    order = stable_argsort(owner, S - 1)
-    members = np.concatenate(node_chunks)[order]
-    counts = np.bincount(owner, minlength=S)[samples]
-    indptr = np.zeros(samples.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    _rows, members, indptr = collect(slots.size)
     return members, indptr
 
 

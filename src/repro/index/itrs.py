@@ -6,11 +6,16 @@ then run a *deterministic* reverse BFS from a random target — no coin
 flips for indexed edges. Edges outside the index universe (LL-TRS's
 outer region) fall back to online coins at the aggregated probability,
 letting the traversal cross the local-region boundary.
+
+All θ traversals run in the bit-parallel RR kernel of
+:mod:`repro.engine.bitworld`, 64 working graphs per ``uint64`` lane: the
+chosen worlds of a 64-lane block become one forced-live word per
+covered edge (:meth:`IndexManager.lane_words`), and uncovered edges
+draw the kernel's counter-based coins.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -18,6 +23,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import obs
+from repro.engine.bitworld import (
+    RRGather,
+    bit_rr_replay,
+    coin_thresholds,
+    live_csr,
+)
+from repro.engine.parallel import SamplingEngine
+from repro.engine.rr_storage import RRCollection
 from repro.exceptions import BudgetExceededError
 from repro.graphs.tag_graph import TagGraph
 from repro.index.lazy import IndexManager
@@ -35,7 +48,6 @@ from repro.utils.validation import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.parallel import SamplingEngine
     from repro.engine.runtime import RunBudget
 
 
@@ -89,37 +101,55 @@ class IndexedTRSResult:
         return self.estimated_spread / num_targets
 
 
-def _hybrid_rr_set(
+def sample_indexed_rr_sets(
     graph: TagGraph,
-    root: int,
-    working_mask: np.ndarray,
-    covered: np.ndarray,
+    manager: IndexManager,
+    tags: Sequence[str],
     edge_probs: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Reverse BFS mixing indexed edges with online coins for the rest."""
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    visited[root] = True
-    members = [int(root)]
-    queue: deque[int] = deque([int(root)])
+    roots: np.ndarray,
+    choices: np.ndarray,
+    key: int,
+    on_batch=None,
+) -> RRCollection:
+    """One RR set per working graph, 64 working graphs per kernel lane word.
 
+    Sample ``i`` is rooted at ``roots[i]`` in the working graph that
+    unions world ``choices[i, t]`` of each tag ``tags[t]``. Covered
+    edges are live iff that union holds them; an uncovered edge draws
+    the counter coin of world ``rr_world_of_sample(roots, i, n)`` keyed
+    by ``key`` at its aggregated probability. Deterministic in
+    ``(roots, choices, key)``. ``on_batch`` is the kernel's per-batch
+    hook (see :func:`repro.engine.bitworld.bit_rr_replay`).
+    """
+    roots = np.asarray(roots, dtype=np.int64)
+    choices = np.asarray(choices, dtype=np.int64)
+    columns = manager.forced_columns(tags)
+    edge_col = np.full(graph.num_edges, -1, dtype=np.int64)
+    edge_col[columns] = np.arange(columns.size)
+    forced = edge_col >= 0
+    # Covered edges no chosen world can hold are dead; uncovered edges
+    # live on a positive coin.
+    alive = forced | (~manager.covered_mask & (edge_probs > 0.0))
     rev_indptr, rev_edges = graph.reverse_csr()
-    src = graph.src
-    fully_covered = bool(covered.all())
-    while queue:
-        node = queue.popleft()
-        for eid in rev_edges[rev_indptr[node]:rev_indptr[node + 1]]:
-            if fully_covered or covered[eid]:
-                exists = working_mask[eid]
-            else:
-                exists = rng.random() < edge_probs[eid]
-            if exists:
-                parent = int(src[eid])
-                if not visited[parent]:
-                    visited[parent] = True
-                    members.append(parent)
-                    queue.append(parent)
-    return np.array(members, dtype=np.int64)
+    live_indptr, live_edges = live_csr(rev_indptr, rev_edges, alive)
+    gather = RRGather(
+        graph.num_nodes, graph.num_edges, live_indptr, live_edges,
+        graph.src, coin_thresholds(np.where(forced, 0.0, edge_probs)),
+        int(roots.size), edge_col=edge_col,
+    )
+
+    def lane_words(slot_samples: np.ndarray) -> np.ndarray:
+        lanes = np.zeros(
+            (-(-slot_samples.size // 64) * 64, choices.shape[1]),
+            dtype=np.int64,
+        )
+        lanes[: slot_samples.size] = choices[slot_samples]
+        return manager.lane_words(tags, lanes, columns)
+
+    members, indptr = bit_rr_replay(
+        gather, roots, key, forced=lane_words, on_batch=on_batch
+    )
+    return RRCollection(members, indptr, graph.num_nodes)
 
 
 def indexed_select_seeds(
@@ -148,15 +178,20 @@ def indexed_select_seeds(
         proportional to ``θ · r``.
     engine:
         Optional :class:`~repro.engine.SamplingEngine` for the OPT_T
-        pilot. The hybrid traversal itself stays in-process and scalar
-        regardless of mode and ``workers``, because each working graph
-        is drawn from shared manager state.
+        pilot; ``None`` runs the pilot on an in-process serial
+        bit-parallel engine built for this call, so the result equals
+        the one a ``SamplingEngine("bitparallel", workers=1)`` gives.
+        The θ indexed traversals always run in-process on the
+        bit-parallel RR kernel (:func:`sample_indexed_rr_sets`),
+        whatever the engine's mode and ``workers``, because each
+        working graph is drawn from shared manager state.
     budget:
-        Optional :class:`~repro.engine.RunBudget` checked after every
-        working-graph traversal; a tripped limit raises
+        Optional :class:`~repro.engine.RunBudget`, charged θ samples up
+        front and the RR members of each kernel block batch as it
+        finishes; a tripped limit raises
         :class:`~repro.exceptions.BudgetExceededError` whose ``partial``
-        is an :class:`IndexedTRSResult` covering the RR sets generated
-        so far.
+        is an :class:`IndexedTRSResult` covering the RR sets of the
+        finished batches.
     """
     rng = ensure_rng(rng)
     check_budget(k, graph.num_nodes, what="seeds")
@@ -166,9 +201,13 @@ def indexed_select_seeds(
         targets, graph.num_nodes, context="indexed_select_seeds"
     )
     num_targets = int(target_arr.size)
+    pilot_engine = (
+        engine if engine is not None
+        else SamplingEngine(mode="bitparallel", workers=1)
+    )
 
     timer = Timer()
-    rr_list: list[np.ndarray] = []
+    rr: RRCollection | list = []
     choices_log: list[dict[str, int]] = []
     theta = 0
     tc = 0
@@ -180,7 +219,7 @@ def indexed_select_seeds(
             with obs.span("itrs.pilot"):
                 opt_t = estimate_opt_t(
                     graph, target_arr, edge_probs, k, config, rng,
-                    engine=engine, budget=budget,
+                    engine=pilot_engine, budget=budget,
                 )
             theta = compute_theta(
                 graph.num_nodes, k, num_targets, opt_t, config
@@ -194,32 +233,47 @@ def indexed_select_seeds(
             with obs.span("itrs.ensure_indexes", theta_c=tc):
                 manager.ensure_indexes(tag_list, tc, rng)
 
-            covered = manager.covered_mask
-            mask_buffer = np.zeros(graph.num_edges, dtype=bool)
-            roots = rng.choice(target_arr, size=theta)
-
+            # One draw for every root and every per-tag world choice
+            # (each tag's own world count as its bound), then the
+            # kernel's coin key.
+            highs = [num_targets] + [
+                manager.index_for(tag).num_worlds for tag in tag_list
+            ]
+            draws = rng.integers(0, highs, size=(theta, len(highs)))
+            key = int(rng.integers(np.iinfo(np.int64).max, dtype=np.int64))
+            roots = target_arr[draws[:, 0]]
+            choices = draws[:, 1:]
             if budget is not None:
                 budget.charge_samples(theta)
-            with obs.span("itrs.traverse", theta=theta):
-                for root in roots:
-                    choices = manager.sample_world_choices(tag_list, rng)
+            if record_choices:
+                choices_log = [
+                    dict(zip(tag_list, row)) for row in choices.tolist()
+                ]
+
+            def charge(new_members: int, partial) -> None:
+                nonlocal rr
+                try:
+                    budget.charge_rr_members(new_members)
+                except BudgetExceededError:
+                    rows, members, indptr = partial()
+                    rr = RRCollection(members, indptr, graph.num_nodes)
                     if record_choices:
-                        choices_log.append(choices)
-                    working = manager.working_mask(choices, out=mask_buffer)
-                    rr_list.append(
-                        _hybrid_rr_set(
-                            graph, int(root), working, covered, edge_probs,
-                            rng,
-                        )
-                    )
-                    if budget is not None:
-                        budget.charge_rr_members(rr_list[-1].size)
-            obs.count("itrs.working_graphs", len(rr_list))
+                        choices_log[:] = [
+                            choices_log[i] for i in rows.tolist()
+                        ]
+                    raise
+
+            with obs.span("itrs.traverse", theta=theta):
+                rr = sample_indexed_rr_sets(
+                    graph, manager, tag_list, edge_probs, roots, choices,
+                    key, on_batch=charge if budget is not None else None,
+                )
+            obs.count("itrs.working_graphs", len(rr))
             with obs.span("itrs.cover"):
-                coverage = greedy_max_coverage(rr_list, k, graph.num_nodes)
+                coverage = greedy_max_coverage(rr, k, graph.num_nodes)
     except BudgetExceededError as exc:
         exc.partial = _partial_indexed_result(
-            rr_list, choices_log if record_choices else None, k, graph,
+            rr, choices_log if record_choices else None, k, graph,
             num_targets, theta, tc, timer.elapsed, manager, engine,
         )
         raise
@@ -238,7 +292,7 @@ def indexed_select_seeds(
 
 
 def _partial_indexed_result(
-    rr_list: list[np.ndarray],
+    rr_list: RRCollection | list,
     choices_log: list[dict[str, int]] | None,
     k: int,
     graph: TagGraph,

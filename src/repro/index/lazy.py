@@ -64,9 +64,9 @@ class IndexManager:
         timing), and a request for an unindexed tag raises
         :class:`IndexError_` instead of racing a build. All query-side
         methods (:meth:`sample_world_choices`, :meth:`working_mask`,
-        :meth:`index_for`) only read, so one frozen manager can back
-        any number of concurrent queries. Returns ``self`` for
-        chaining (``load_index(...).freeze()``).
+        :meth:`lane_words`, :meth:`index_for`) only read, so one frozen
+        manager can back any number of concurrent queries. Returns
+        ``self`` for chaining (``load_index(...).freeze()``).
         """
         self._frozen = True
         return self
@@ -182,6 +182,40 @@ class IndexManager:
             out[:] = False
         for tag, world_idx in choices.items():
             out[self.index_for(tag).world(world_idx)] = True
+        return out
+
+    def forced_columns(self, tags: Sequence[str]) -> np.ndarray:
+        """Sorted edge ids any world of ``tags`` can hold.
+
+        These are the covered edges a working graph over ``tags`` can
+        contain; every other covered edge is absent from all of them.
+        """
+        candidates = [self.index_for(tag).candidate_edges for tag in tags]
+        if not candidates:
+            return np.empty(0, dtype=np.int64)
+        return np.unique(np.concatenate(candidates))
+
+    def lane_words(
+        self,
+        tags: Sequence[str],
+        choices: np.ndarray,
+        columns: np.ndarray,
+    ) -> np.ndarray:
+        """Working-graph unions of 64-lane blocks as per-edge lane words.
+
+        The packed analogue of :meth:`working_mask`: ``choices`` is
+        ``(64 * blocks, len(tags))`` world indexes, lane-major per
+        block, and ``columns`` comes from :meth:`forced_columns`.
+        Returns ``(blocks, columns.size)`` uint64 whose bit ``b`` of
+        ``[j, c]`` is set iff edge ``columns[c]`` lies in the union of
+        the worlds lane ``b`` of block ``j`` chose.
+        """
+        blocks = choices.shape[0] // 64
+        out = np.zeros((blocks, columns.size), dtype=np.uint64)
+        for position, tag in enumerate(tags):
+            index = self.index_for(tag)
+            cols = np.searchsorted(columns, index.candidate_edges)
+            out[:, cols] |= index.lane_words(choices[:, position])
         return out
 
     @property

@@ -124,13 +124,7 @@ def _install_tag_index(
     universe: np.ndarray | None,
 ) -> None:
     """Place pre-sampled worlds into a manager without re-sampling."""
-    index = TagIndex.__new__(TagIndex)
-    index.tag = tag
-    ids, _probs = graph.tag_edges(tag)
-    if universe is not None:
-        ids = ids[universe[ids]]
-    index._candidate_edges = ids
-    index._worlds = worlds
+    index = TagIndex.from_worlds(graph, tag, worlds, universe)
     manager._indexes[tag] = index
     manager._stats.worlds_built += index.num_worlds
     manager._stats.stored_edges += index.stored_edges

@@ -892,7 +892,8 @@ class CampaignServer:
                     try:
                         edge_probs = new_graph.edge_probabilities(key.tags)
                         repaired, rstats = value.repair(
-                            new_graph, edge_probs, dirty_edges
+                            new_graph, edge_probs, dirty_edges,
+                            set_ids=dirty_sets,
                         )
                     except InvalidQueryError:
                         # Past the frozen edge capacity, or the edits

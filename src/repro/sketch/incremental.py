@@ -149,6 +149,7 @@ class RepairableSketch:
         graph: TagGraph,
         edge_probs: np.ndarray,
         dirty_edges: np.ndarray,
+        set_ids: np.ndarray | None = None,
     ) -> tuple["RepairableSketch", dict[str, int]]:
         """Resample only the sets dirtied by ``dirty_edges``.
 
@@ -156,6 +157,9 @@ class RepairableSketch:
         edge probabilities for the sketch's tag set. Returns a new
         sketch plus repair stats; the receiver is unmodified. The result
         is bit-identical to :meth:`cold_rebuild` on the same snapshot.
+        ``set_ids`` passes in :meth:`dirty_set_ids` of the destinations
+        of ``dirty_edges`` when the caller already has it, so it is not
+        computed twice.
         """
         if edge_probs.shape != (graph.num_edges,):
             raise InvalidQueryError(
@@ -183,7 +187,8 @@ class RepairableSketch:
             )
         dirty_nodes = np.unique(graph.dst[dirty_edges])
         stats["dirty_nodes"] = int(dirty_nodes.size)
-        set_ids = self.rr.dirty_set_ids(dirty_nodes)
+        if set_ids is None:
+            set_ids = self.rr.dirty_set_ids(dirty_nodes)
         stats["dirty_sets"] = int(set_ids.size)
         if not set_ids.size:
             return self, stats
