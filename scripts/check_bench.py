@@ -53,7 +53,7 @@ For ``repro loadgen`` artifacts (``BENCH_load.json``), asserts that
 
 Usage::
 
-    python scripts/check_bench.py BENCH_serve.json --min-speedup 5.0
+    python scripts/check_bench.py BENCH_serve.json --min-speedup 50.0
     python scripts/check_bench.py BENCH_engine.json --min-bit-speedup 32.0
     python scripts/check_bench.py BENCH_load.json
 """

@@ -1185,12 +1185,16 @@ def _raise_keyboard_interrupt(signum, frame):  # pragma: no cover - signal
     raise KeyboardInterrupt
 
 
-def _install_sigterm_handler() -> None:
-    """Route SIGTERM through the KeyboardInterrupt path (flush + exit)."""
+def _install_sigterm_handler():
+    """Route SIGTERM through the KeyboardInterrupt path (flush + exit).
+
+    Returns the handler it replaced, or ``None`` when it installed none
+    (off the main thread, or the old handler was not set from Python).
+    """
     try:
-        signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
+        return signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
     except ValueError:  # pragma: no cover - not the main thread
-        pass
+        return None
 
 
 def _describe_partial(partial: object) -> str:
@@ -1270,7 +1274,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _check_serve_flags(parser, args)
     if getattr(args, "resume", False) and args.checkpoint_dir is None:
         parser.error("--resume requires --checkpoint-dir")
-    _install_sigterm_handler()
+    previous_sigterm = _install_sigterm_handler()
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics_out", None)
     profile = bool(getattr(args, "profile", False))
@@ -1308,8 +1312,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(described)
         return 75
     finally:
-        if observation is not None:
-            _write_observability(observation, trace_path, metrics_path)
+        try:
+            if observation is not None:
+                _write_observability(observation, trace_path, metrics_path)
+        finally:
+            if previous_sigterm is not None:
+                signal.signal(signal.SIGTERM, previous_sigterm)
 
 
 if __name__ == "__main__":  # pragma: no cover

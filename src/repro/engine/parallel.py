@@ -342,9 +342,16 @@ class SamplingEngine:
         return self.pool()
 
     def abort_pool(self) -> None:
-        """Shut the pool down without waiting (cancel what can be)."""
+        """Shut the pool down without waiting (cancel what can be).
+
+        The abandoned pool's worker processes are killed first: a worker
+        stuck in a hung shard would otherwise outlive the shutdown, and
+        interpreter exit would spin joining the pool's manager thread.
+        """
         with self._pool_lock:
             if self._pool is not None:
+                for proc in list((self._pool._processes or {}).values()):
+                    proc.kill()
                 self._pool.shutdown(wait=False, cancel_futures=True)
                 self._pool = None
 

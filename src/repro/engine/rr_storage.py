@@ -1,13 +1,12 @@
 """Flat CSR-style storage for RR-set collections.
 
 The scalar pipeline stores θ RR sets as ``list[np.ndarray]`` — θ small
-heap objects whose membership the greedy max-coverage pass rescans per
-pick. :class:`RRCollection` concatenates all members into one array with
-an ``indptr`` (exactly the CSR layout the graph already uses for
-adjacency) and derives the inverted node→set index lazily; greedy
+heap objects. :class:`RRCollection` concatenates all members into one
+array with an ``indptr`` (exactly the CSR layout the graph already uses
+for adjacency) and derives the inverted node→set index lazily; greedy
 coverage over it is an ``np.bincount``-based O(total membership) pass
-(see :func:`repro.sketch.coverage.greedy_max_coverage`, which
-dispatches here automatically).
+(see :func:`repro.sketch.coverage.greedy_max_coverage`, which packs a
+plain list of sets into one of these first).
 
 An ``RRCollection`` behaves as a read-only sequence of int64 arrays, so
 every existing consumer of ``list[np.ndarray]`` RR sets accepts one

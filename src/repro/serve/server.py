@@ -1653,7 +1653,7 @@ class CampaignServer:
     def _seeds_via_sketch(
         self, ob, targets, tdigest, tags_c, k, seed, budget
     ) -> tuple[SeedSelection, str]:
-        """TRS path: cache the expensive sampling half, re-cover per query."""
+        """TRS path: cache the sketch; its cover is memoized on first read."""
         tier = self._current_tier()
         cfg = self._sketch_config()
         key = AssetKey(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
+from repro.engine.rr_storage import RRCollection
 from repro.exceptions import InvalidQueryError
 
 
@@ -33,12 +34,16 @@ class CoverageResult:
         ``marginal_covered[i]`` is how many *new* RR sets seed ``i``
         covered when it was picked; useful for diagnostics and CELF-style
         analyses.
+    gain_evaluations:
+        Number of residual-gain scans (greedy rounds) the cover ran; the
+        same count goes to the ``coverage.gain_evaluations`` counter.
     """
 
     seeds: tuple[int, ...]
     covered: int
     total: int
     marginal_covered: tuple[int, ...]
+    gain_evaluations: int = 0
 
     @property
     def fraction(self) -> float:
@@ -53,7 +58,7 @@ class CoverageResult:
 
 
 def greedy_max_coverage(
-    rr_sets: Sequence[np.ndarray],
+    rr_sets: RRCollection | Sequence[np.ndarray],
     k: int,
     num_nodes: int,
     candidate_nodes: np.ndarray | None = None,
@@ -63,7 +68,8 @@ def greedy_max_coverage(
     Parameters
     ----------
     rr_sets:
-        RR sets as integer arrays of node ids.
+        A flat :class:`~repro.engine.RRCollection`, or any sequence of
+        integer arrays of node ids (packed into one first).
     k:
         Seed budget.
     num_nodes:
@@ -74,6 +80,12 @@ def greedy_max_coverage(
 
     Notes
     -----
+    Residual per-node counts start as one ``np.bincount`` over the flat
+    member array and are decremented with one bincount per pick,
+    restricted to the members of the *newly* covered sets (gathered
+    through the collection's inverted index) — an O(total membership)
+    pass overall. Ties go to the lowest node id.
+
     When fewer than ``k`` nodes have positive residual coverage, the
     remaining seats are filled with the lowest-id unused candidates so
     the result always has exactly ``min(k, |candidates|)`` seeds — a seed
@@ -84,78 +96,12 @@ def greedy_max_coverage(
         raise InvalidQueryError(f"seed budget k must be positive, got {k}")
     if num_nodes <= 0:
         raise InvalidQueryError("num_nodes must be positive")
-
-    # Flat collections (repro.engine.RRCollection) take the bincount
-    # path: same greedy, same tie-breaking, O(total membership) updates.
-    if hasattr(rr_sets, "members") and hasattr(rr_sets, "inverted"):
-        return _greedy_max_coverage_flat(rr_sets, k, num_nodes, candidate_nodes)
-
-    allowed = np.zeros(num_nodes, dtype=bool)
-    if candidate_nodes is None:
-        allowed[:] = True
-    else:
-        allowed[np.asarray(candidate_nodes, dtype=np.int64)] = True
-
-    # node -> list of RR-set indices containing it (restricted to allowed)
-    membership: list[list[int]] = [[] for _ in range(num_nodes)]
-    counts = np.zeros(num_nodes, dtype=np.int64)
-    for idx, rr in enumerate(rr_sets):
-        for node in rr.tolist():
-            if allowed[node]:
-                membership[node].append(idx)
-                counts[node] += 1
-
-    covered_sets = np.zeros(len(rr_sets), dtype=bool)
-    seeds: list[int] = []
-    marginals: list[int] = []
-    used = np.zeros(num_nodes, dtype=bool)
-
-    budget = min(k, int(allowed.sum()))
-    for _ in range(budget):
-        # Each greedy round is one full residual-gain scan (argmax).
-        obs.count("coverage.gain_evaluations")
-        masked = np.where(allowed & ~used, counts, -1)
-        best = int(masked.argmax())
-        gain = int(masked[best])
-        if gain <= 0:
-            break
-        seeds.append(best)
-        marginals.append(gain)
-        used[best] = True
-        for rr_idx in membership[best]:
-            if not covered_sets[rr_idx]:
-                covered_sets[rr_idx] = True
-                for node in rr_sets[rr_idx].tolist():
-                    if allowed[node]:
-                        counts[node] -= 1
-
-    # Fill remaining seats with arbitrary unused candidates.
-    if len(seeds) < budget:
-        fillers = np.flatnonzero(allowed & ~used)
-        for node in fillers[: budget - len(seeds)].tolist():
-            seeds.append(int(node))
-            marginals.append(0)
-
-    return CoverageResult(
-        seeds=tuple(seeds),
-        covered=int(covered_sets.sum()),
-        total=len(rr_sets),
-        marginal_covered=tuple(marginals),
+    rr = (
+        rr_sets
+        if isinstance(rr_sets, RRCollection)
+        else RRCollection.from_sets(rr_sets, num_nodes)
     )
 
-
-def _greedy_max_coverage_flat(
-    rr, k: int, num_nodes: int, candidate_nodes: np.ndarray | None
-) -> CoverageResult:
-    """Greedy max coverage over a flat :class:`~repro.engine.RRCollection`.
-
-    Identical selection semantics to the list path (same argmax
-    tie-breaking, same filler rule), but membership is never rescanned:
-    residual per-node counts start as one ``np.bincount`` over the flat
-    member array and are decremented with one bincount per pick,
-    restricted to the members of the *newly* covered sets — an
-    O(total membership) pass overall.
-    """
     num_sets = rr.num_sets
     members = rr.members
     set_indptr = rr.indptr
@@ -176,8 +122,10 @@ def _greedy_max_coverage_flat(
     used = np.zeros(num_nodes, dtype=bool)
 
     budget = min(k, int(allowed.sum()))
+    evaluations = 0
     for _ in range(budget):
-        obs.count("coverage.gain_evaluations")
+        # Each greedy round is one full residual-gain scan (argmax).
+        evaluations += 1
         masked = np.where(allowed & ~used, counts, -1)
         best = int(masked.argmax())
         gain = int(masked[best])
@@ -201,7 +149,10 @@ def _greedy_max_coverage_flat(
             touched = members[positions]
             touched = touched[allowed[touched]]
             counts -= np.bincount(touched, minlength=num_nodes)
+    if evaluations:
+        obs.count("coverage.gain_evaluations", evaluations)
 
+    # Fill remaining seats with the lowest-id unused candidates.
     if len(seeds) < budget:
         fillers = np.flatnonzero(allowed & ~used)
         for node in fillers[: budget - len(seeds)].tolist():
@@ -213,4 +164,5 @@ def _greedy_max_coverage_flat(
         covered=int(covered_sets.sum()),
         total=num_sets,
         marginal_covered=tuple(marginals),
+        gain_evaluations=evaluations,
     )

@@ -53,7 +53,7 @@ replays each dirty set's own stream, one traversal per set.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,8 +112,10 @@ class RepairableSketch:
     """RR sketch that can be patched in place of resampled wholesale.
 
     Duck-compatible with :class:`~repro.sketch.TRSSketch` (``rr_sets``,
-    ``theta``, ``opt_t_estimate``, ``num_targets``, ``nbytes``), so
-    :func:`~repro.sketch.trs_select_from_sketch` consumes one unchanged.
+    ``theta``, ``opt_t_estimate``, ``num_targets``, ``nbytes`` and the
+    cover memo), so :func:`~repro.sketch.trs_select_from_sketch`
+    consumes one unchanged. A clean promotion keeps the same object and
+    so its memoized covers; a repaired sketch starts with none.
     """
 
     rr: RRCollection
@@ -126,6 +128,11 @@ class RepairableSketch:
     shards: tuple[_Shard, ...]
     num_targets: int
     opt_t_estimate: float | None = None
+    # Greedy-cover memo, as on TRSSketch. Not an init field, so the
+    # ``replace`` in repair() starts every repaired sketch empty.
+    _covers: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- TRSSketch-compatible surface --------------------------------
     @property

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+
 import pytest
 
 from repro.cli import _make_sampler, build_parser, main
@@ -35,6 +37,15 @@ class TestDatasetCommand:
     def test_unknown_dataset_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["dataset", "nope", str(tmp_path / "x.tsv")])
+
+    def test_main_restores_sigterm_handler(self, tmp_path):
+        before = signal.getsignal(signal.SIGTERM)
+        code = main(
+            ["dataset", "lastfm", str(tmp_path / "g.tsv"), "--scale",
+             "0.1", "--targets", "5", "--seed", "0"]
+        )
+        assert code == 0
+        assert signal.getsignal(signal.SIGTERM) is before
 
 
 class TestSeedsCommand:

@@ -10,6 +10,7 @@ run with the same master seed, because retried shards replay their
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import numpy as np
@@ -275,6 +276,7 @@ def test_poisoned_pool_degrades_to_serial(query):
 
 def test_hung_shard_watchdog_recovers(query):
     clean = _clean(query)
+    before = set(multiprocessing.active_children())
     plan = FaultPlan().hang_shard(2, seconds=20.0)
     policy = RetryPolicy(
         shard_timeout=0.4, backoff_base=0.001, backoff_max=0.002,
@@ -286,6 +288,15 @@ def test_hung_shard_watchdog_recovers(query):
         faulted = _rr(engine, query)
         assert engine.telemetry.shards_retried >= 1
     _assert_same(clean, faulted)
+    # The abandoned pool's hung worker must not outlive the engine: a
+    # sleeping child left behind can stall interpreter exit.
+    deadline = time.monotonic() + 5.0
+    while (
+        set(multiprocessing.active_children()) - before
+        and time.monotonic() < deadline
+    ):
+        time.sleep(0.05)
+    assert not set(multiprocessing.active_children()) - before
 
 
 def test_injected_interrupt_raises_keyboard_interrupt(query):
