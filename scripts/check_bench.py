@@ -19,7 +19,10 @@ For ``bench_serve.py`` artifacts, asserts that
 * the sharded scaling leg ran, its answers were bit-identical across
   fleet sizes, and the 4-worker fleet's throughput on the distinct-
   query cold burst meets the floor over 1 worker (default 3x —
-  worker processes have to actually buy process-level parallelism).
+  worker processes have to actually buy process-level parallelism);
+* the tracing leg ran on real builds with interleaved repeats (it
+  records ``repeats`` and ``cpu_count``), collected stitched trace
+  events, and its median overhead is within ``--max-trace-overhead``.
 
 For ``bench_engine.py`` artifacts, asserts that
 
@@ -114,7 +117,12 @@ def check_serve(
                 failures.append(
                     f"distributed-tracing overhead {overhead * 100:.1f}% "
                     f"> allowed {max_trace_overhead * 100:.1f}% on the "
-                    f"{traced.get('workers')}-worker burst"
+                    f"{traced.get('workers')}-worker real-build leg"
+                )
+            if not traced.get("repeats") or "cpu_count" not in traced:
+                failures.append(
+                    "traced leg has no interleaved repeats or cpu_count "
+                    "(a single sleep-bound burst cannot show span work)"
                 )
             if not traced.get("trace_events"):
                 failures.append(
@@ -323,9 +331,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--max-trace-overhead", type=float, default=0.05,
-        help="serve artifacts: allowed throughput overhead fraction of "
-             "the traced sharded burst over the untraced one "
-             "(default 0.05 = 5%%)",
+        help="serve artifacts: allowed wall-time overhead fraction of "
+             "the traced fleet over the untraced one on the interleaved "
+             "real-build leg (default 0.05 = 5%%)",
     )
     parser.add_argument(
         "--min-bit-speedup", type=float, default=32.0,

@@ -809,7 +809,8 @@ def _make_qos(args: argparse.Namespace):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import METRICS_SCHEMA, CampaignServer, serve_stdio
+    from repro.serve import CampaignServer, serve_stdio
+    from repro.serve.protocol import warm
 
     graph = load_tag_graph(args.graph)
     config = (
@@ -823,21 +824,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     workers = int(getattr(args, "workers", 1) or 1)
     sharded = workers > 1
     sampler = None
+    # The server settings both kinds share; a fleet hands them to every
+    # worker's CampaignServer.
+    settings = dict(
+        config=config,
+        pool_size=args.pool_size,
+        queue_capacity=args.queue_capacity,
+        cache_bytes=args.cache_bytes,
+        default_deadline=args.deadline,
+        default_max_samples=args.max_samples,
+        qos=_make_qos(args),
+        mutable=args.mutable,
+        repair_mode=args.repair_mode,
+    )
     if sharded:
         from repro.serve import ShardedCampaignService, WorkerSpec
 
         spec = WorkerSpec(
-            config=config,
             engine_mode=getattr(args, "sampler", None),
-            pool_size=args.pool_size,
-            queue_capacity=args.queue_capacity,
-            cache_bytes=args.cache_bytes,
-            default_deadline=args.deadline,
-            default_max_samples=args.max_samples,
-            qos=_make_qos(args),
             chaos=_chaos_kwargs(args),
-            mutable=args.mutable,
-            repair_mode=args.repair_mode,
+            **settings,
         )
         server = ShardedCampaignService(
             graph, workers=workers, spec=spec,
@@ -851,26 +857,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         sampler = _make_sampler(args)
         server = CampaignServer(
-            graph,
-            config=config,
-            sampler=sampler,
-            pool_size=args.pool_size,
-            queue_capacity=args.queue_capacity,
-            cache_bytes=args.cache_bytes,
-            default_deadline=args.deadline,
-            default_max_samples=args.max_samples,
-            qos=_make_qos(args),
-            chaos=_make_chaos(args),
-            mutable=args.mutable,
-            repair_mode=args.repair_mode,
-            tracing=args.trace is not None,
+            graph, sampler=sampler, chaos=_make_chaos(args),
+            tracing=args.trace is not None, **settings,
         )
-    if args.events_out is not None and not sharded:
-        server.events.open_sink(
-            args.events_out,
-            max_bytes=args.events_max_bytes,
-            backups=args.events_backups,
-        )
+    merge_events = None
+    if args.events_out is not None:
+        # The event sink is the one place the two kinds differ after
+        # construction: an in-process server streams its lifecycle
+        # events to the file as they happen, while a fleet's events
+        # live in its worker processes, so the router merges them into
+        # the file once, at shutdown, while the workers are still up.
+        if sharded:
+            def merge_events() -> int:
+                events = server.events_payload()["events"]
+                with Path(args.events_out).open("w", encoding="utf-8") as fh:
+                    for record in events:
+                        fh.write(json.dumps(record) + "\n")
+                return len(events)
+        else:
+            server.events.open_sink(
+                args.events_out,
+                max_bytes=args.events_max_bytes,
+                backups=args.events_backups,
+            )
     telemetry = None
     handled = 0
     with _sampler_scope(sampler):
@@ -894,17 +903,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     None if args.warm_index.strip() == "all"
                     else _parse_tags(args.warm_index)
                 )
-                if sharded:
-                    # Every worker may serve index-backed queries, so
-                    # warming broadcasts rather than affinity-routes.
-                    replies = server.broadcast(
-                        {"op": "warm_index", "tags": tags}
-                    )
-                    built = (
-                        replies[0].get("warmed_tags", []) if replies else []
-                    )
-                else:
-                    built = server.warm_index(tags)
+                built = server.warm_index(tags)
                 print(
                     f"warm-index: froze {len(built)} tag indexes",
                     file=sys.stderr,
@@ -913,17 +912,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 requests = json.loads(
                     Path(args.warm).read_text(encoding="utf-8")
                 )
-                if sharded:
-                    # Affinity-route each warm request: it caches on
-                    # the worker that will serve the repeat query.
-                    from repro.serve import handle_request
-
-                    warmed = sum(
-                        1 for r in requests
-                        if handle_request(server, dict(r)).get("ok")
-                    )
-                else:
-                    warmed = server.warm(requests)
+                warmed = warm(server, requests)
                 stats = server.cache_stats()
                 print(
                     f"warm: executed {warmed} requests "
@@ -934,22 +923,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             if telemetry is not None:
                 telemetry.close()
-            # The stitched trace and the merged fleet event stream both
-            # round-trip to the workers, so they must be captured while
-            # the fleet is still up — before close().
-            trace_events = None
+            # The stitched trace, the merged fleet event stream and the
+            # fleet metrics all round-trip to the workers, so they must
+            # be captured while the fleet is still up — before close().
+            # Each capture has its own try: one failing skips no other.
+            trace_events = metrics_snapshot = events_written = None
             if args.trace is not None:
                 try:
                     trace_events = server.chrome_trace()
                 except Exception as exc:  # pragma: no cover - teardown race
                     print(f"trace drain failed: {exc}", file=sys.stderr)
                     trace_events = []
-            merged_events = None
-            if sharded and args.events_out is not None:
+            if merge_events is not None:
                 try:
-                    merged_events = server.events_payload()
+                    events_written = merge_events()
                 except Exception as exc:  # pragma: no cover - teardown race
                     print(f"event merge failed: {exc}", file=sys.stderr)
+            if args.metrics_out is not None:
+                try:
+                    metrics_snapshot = server.metrics_payload()
+                except Exception as exc:  # pragma: no cover - teardown race
+                    print(f"metrics capture failed: {exc}", file=sys.stderr)
             server.close()
             if trace_events is not None:
                 Path(args.trace).write_text(
@@ -960,35 +954,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     f"{args.trace}",
                     file=sys.stderr,
                 )
-            if merged_events is not None:
-                with Path(args.events_out).open(
-                    "w", encoding="utf-8"
-                ) as fh:
-                    for record in merged_events.get("events", []):
-                        fh.write(json.dumps(record) + "\n")
-                print(
-                    f"wrote {len(merged_events.get('events', []))} merged "
-                    f"fleet events to {args.events_out}",
-                    file=sys.stderr,
-                )
             # close() flushed the event sink; closing the log also
             # releases a --events-out file so even the SIGTERM path
             # leaves a complete JSONL behind.
-            events_total = server.events.total
+            if args.events_out is not None and merge_events is None:
+                events_written = server.events.total
             server.events.close()
-            if args.events_out is not None and not sharded:
+            if events_written is not None:
                 print(
-                    f"wrote {events_total} events to {args.events_out}",
+                    f"wrote {events_written} events to {args.events_out}",
                     file=sys.stderr,
                 )
-            if args.metrics_out is not None:
-                snapshot = {
-                    "schema": METRICS_SCHEMA,
-                    "metrics": server.metrics(),
-                    "cache": server.cache_stats().as_dict(),
-                }
+            if metrics_snapshot is not None:
                 Path(args.metrics_out).write_text(
-                    json.dumps(snapshot, indent=2), encoding="utf-8"
+                    json.dumps(metrics_snapshot, indent=2), encoding="utf-8"
                 )
                 print(
                     f"wrote serve metrics to {args.metrics_out}",
@@ -1135,7 +1114,7 @@ def _cmd_flightrec(args: argparse.Namespace) -> int:
         bits = [
             f"{str(record.get('reason') or '?'):<13}",
             f"op={record.get('op')}",
-            f"class={record.get('qos_class') or record.get('class')}",
+            f"class={(record.get('decisions') or {}).get('class')}",
         ]
         for key, fmt in (("elapsed_ms", "elapsed={:.1f}ms"),
                          ("deadline_ms", "deadline={:.1f}ms")):

@@ -35,9 +35,10 @@ observable as *one* system:
 ``FlightRecorder``
     A bounded ring of "flight records" for the queries worth a
     post-mortem: anything that blew a latency/deadline threshold or
-    ended in rejection keeps its stitched trace, per-phase report, and
-    the QoS decisions that shaped it. Served at ``/debug/slow`` and by
-    ``repro flightrec``.
+    ended in rejection keeps the QoS decisions that shaped it and, when
+    tracing is on, its stitched trace. ``record_query`` builds every
+    record, so the in-process server and the shard router leave the
+    same shape. Served at ``/debug/slow`` and by ``repro flightrec``.
 
 Clock-alignment honesty: the handshake offset includes the one-way
 pipe latency of the ready message, so worker timestamps mapped onto the
@@ -526,6 +527,64 @@ class FlightRecorder:
             self._ring.append(entry)
             self._total += 1
         return entry
+
+    def record_query(
+        self,
+        outcome: str,
+        *,
+        op: Optional[str],
+        trace_id: Optional[str],
+        qos_class: str,
+        elapsed_ms: float,
+        deadline_ms: Optional[float] = None,
+        queue_wait_ms: Optional[float] = None,
+        tier: Optional[str] = None,
+        cache: Optional[str] = None,
+        epoch: Optional[int] = None,
+        degraded: Optional[Dict[str, Any]] = None,
+        cause: Optional[Dict[str, Any]] = None,
+        trace: Any = None,
+    ) -> Optional[Dict[str, Any]]:
+        """Flight-record one finished query if it qualifies.
+
+        The one function that builds query flight records, for the
+        in-process server and the shard router alike. ``outcome`` is ``"ok"``,
+        ``"rejected"``, ``"cancelled"`` or ``"failed"``. Rejections and
+        cancellations are always recorded under that reason; an ok query
+        is recorded as ``deadline_miss`` or ``slow`` when
+        :meth:`should_record` says so; a failed one never is (a
+        validation or internal error is counted by ``serve.errors``, it
+        is not a serving incident). ``cause`` carries the outcome's own
+        fields: ``code`` / ``phase`` / ``retry_after_ms`` for a
+        rejection, ``error`` (and ``salvaged``) for a cancellation.
+        ``trace`` may be a zero-argument callable, so a stitched trace
+        is only built for a query that is recorded.
+        """
+        if outcome == "failed" or not self.should_record(
+            elapsed_ms=elapsed_ms, deadline_ms=deadline_ms,
+            failed=outcome != "ok",
+        ):
+            return None
+        missed = deadline_ms is not None and elapsed_ms > deadline_ms
+        reason = outcome if outcome != "ok" else (
+            "deadline_miss" if missed else "slow"
+        )
+        decisions: Dict[str, Any] = {
+            "class": qos_class, "tier": tier, "cache": cache,
+            "epoch": epoch, "degraded": degraded,
+        }
+        if queue_wait_ms is not None:
+            decisions["queue_wait_ms"] = round(queue_wait_ms, 3)
+        return self.record(
+            reason=reason,
+            op=op,
+            trace_id=trace_id,
+            elapsed_ms=round(elapsed_ms, 3),
+            deadline_ms=deadline_ms,
+            **(cause or {}),
+            decisions=decisions,
+            trace=trace() if callable(trace) else trace,
+        )
 
     def snapshot(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
         """Oldest-first copy of the retained records."""

@@ -53,8 +53,6 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.distributed import FLIGHT_SCHEMA, empty_trace_payload
-from repro.obs.events import EVENTS_SCHEMA, EventLog
 from repro.obs.metrics import bucket_quantile
 
 __all__ = [
@@ -689,6 +687,15 @@ class _TelemetryHTTPServer(ThreadingHTTPServer):
     endpoint: "TelemetryEndpoint"
 
 
+#: The JSON debug routes: query parameter, its type, and the admin-op
+#: method that answers it — the same method on either server kind.
+_JSON_ROUTES: Dict[str, Tuple[str, Any, Any]] = {
+    "/events": ("limit", int, lambda srv, n: srv.events_payload(n)),
+    "/trace": ("trace_id", str, lambda srv, tid: srv.trace_payload(tid)),
+    "/debug/slow": ("limit", int, lambda srv, n: srv.flight_payload(n)),
+}
+
+
 class _TelemetryHandler(BaseHTTPRequestHandler):
     server_version = "repro-telemetry/1"
     protocol_version = "HTTP/1.1"
@@ -711,49 +718,23 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
             if parsed.path == "/metrics":
                 body = endpoint.render_metrics().encode("utf-8")
                 self._respond(200, OPENMETRICS_CONTENT_TYPE, body)
-            elif parsed.path == "/healthz":
-                health = endpoint.health()
-                code = 503 if health.get("closed") else 200
-                self._respond(
-                    code,
-                    "application/json",
-                    (json.dumps(health) + "\n").encode("utf-8"),
-                )
-            elif parsed.path == "/events":
+                return
+            if parsed.path == "/healthz":
+                payload = endpoint.health()
+                code = 503 if payload.get("closed") else 200
+            elif parsed.path in _JSON_ROUTES:
+                param, cast, read = _JSON_ROUTES[parsed.path]
                 query = urllib.parse.parse_qs(parsed.query)
-                limit = (
-                    int(query["limit"][0]) if "limit" in query else None
-                )
-                payload = endpoint.events_payload(limit)
-                self._respond(
-                    200,
-                    "application/json",
-                    (json.dumps(payload) + "\n").encode("utf-8"),
-                )
-            elif parsed.path == "/trace":
-                query = urllib.parse.parse_qs(parsed.query)
-                trace_id = (
-                    query["trace_id"][0] if "trace_id" in query else None
-                )
-                payload = endpoint.trace_payload(trace_id)
-                self._respond(
-                    200,
-                    "application/json",
-                    (json.dumps(payload) + "\n").encode("utf-8"),
-                )
-            elif parsed.path == "/debug/slow":
-                query = urllib.parse.parse_qs(parsed.query)
-                limit = (
-                    int(query["limit"][0]) if "limit" in query else None
-                )
-                payload = endpoint.flight_payload(limit)
-                self._respond(
-                    200,
-                    "application/json",
-                    (json.dumps(payload) + "\n").encode("utf-8"),
-                )
+                arg = cast(query[param][0]) if param in query else None
+                payload, code = read(endpoint.server, arg), 200
             else:
                 self._respond(404, "text/plain", b"not found\n")
+                return
+            self._respond(
+                code,
+                "application/json",
+                (json.dumps(payload) + "\n").encode("utf-8"),
+            )
         except BrokenPipeError:  # pragma: no cover - client went away
             pass
         except Exception as exc:  # pragma: no cover - defensive
@@ -778,13 +759,11 @@ class TelemetryEndpoint:
         self,
         server,
         exporter: Optional[TelemetryExporter] = None,
-        events: Optional[EventLog] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self._server = server
         self._exporter = exporter
-        self._events = events
         self._httpd = _TelemetryHTTPServer((host, port), _TelemetryHandler)
         self._httpd.endpoint = self
         self._thread: Optional[threading.Thread] = None
@@ -844,45 +823,10 @@ class TelemetryEndpoint:
         health["endpoint"] = self.url
         return health
 
-    def events_payload(self, limit: Optional[int] = None) -> Dict[str, Any]:
-        if self._events is None:
-            # A shard router serves the causally merged fleet stream;
-            # an explicit ring (``events=``) always wins.
-            merged = getattr(self._server, "events_payload", None)
-            if callable(merged):
-                return merged(limit)
-        events = self._events
-        if events is None:
-            events = getattr(self._server, "events", None)
-        if events is None:
-            return {
-                "schema": EVENTS_SCHEMA,
-                "capacity": 0,
-                "total": 0,
-                "dropped": 0,
-                "events": [],
-            }
-        return events.payload(limit)
-
-    def trace_payload(self, trace_id: Optional[str] = None) -> Dict[str, Any]:
-        """The ``/trace`` document (``enabled: false`` if untraced)."""
-        fn = getattr(self._server, "trace_payload", None)
-        if callable(fn):
-            return fn(trace_id)
-        return empty_trace_payload()
-
-    def flight_payload(self, limit: Optional[int] = None) -> Dict[str, Any]:
-        """The ``/debug/slow`` document (empty if no recorder)."""
-        recorder = getattr(self._server, "flightrec", None)
-        if recorder is not None:
-            return recorder.payload(limit)
-        return {
-            "schema": FLIGHT_SCHEMA,
-            "capacity": 0,
-            "slow_ms": None,
-            "total": 0,
-            "records": [],
-        }
+    @property
+    def server(self):
+        """The served ``CampaignServer`` or ``ShardedCampaignService``."""
+        return self._server
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +880,6 @@ def start_live_telemetry(
     interval: float = 1.0,
     window_seconds: float = 60.0,
     slo_target: float = 0.999,
-    events: Optional[EventLog] = None,
 ) -> LiveTelemetry:
     """Start an exporter + HTTP endpoint for ``server`` and return the
     handle. ``listen`` accepts ``HOST:PORT`` with port ``0`` meaning
@@ -950,7 +893,7 @@ def start_live_telemetry(
     ).start()
     try:
         endpoint = TelemetryEndpoint(
-            server, exporter=exporter, events=events, host=host, port=port
+            server, exporter=exporter, host=host, port=port
         ).start()
     except BaseException:
         exporter.stop()

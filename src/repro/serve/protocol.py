@@ -28,13 +28,23 @@ Request shapes
    endpoint serves at ``/events``; against a shard router this is the
    causally merged fleet stream, each record labeled with its source
    ``worker`` and the fleet ``epoch``)
+``{"op": "trace", "trace_id": "t-000001"}``
+   (the ``repro.obs.trace/1`` document served at ``/trace``;
+   ``enabled: false`` when the server runs without tracing)
+``{"op": "flightrec", "limit": 10}``
+   (the slow-query flight recorder, ``repro.obs.flight/1``, as served
+   at ``/debug/slow``)
 
-Distributed tracing: a request may carry a compact trace context under
+Both server kinds answer every op with the same reply shape; a shard
+router adds only its documented fleet fields (``workers`` on ``ping``,
+``metrics`` and ``apply_edits``).
+
+Distributed tracing: a query may carry a compact trace context under
 the private ``"_trace"`` key (``{"trace_id": ..., "parent_span_id":
-...}``, see :mod:`repro.obs.distributed`). It is stripped before op
-dispatch — validation and responses are byte-identical with or without
-it — and staged on the server so the executing query's spans root under
-the propagating router's ``serve.query`` span.
+...}``, see :mod:`repro.obs.distributed`). The server strips it before
+it reads the query's fields — validation and responses are
+byte-identical with or without it — so the executing query's spans
+root under the propagating router's ``serve.query`` span.
 
 Query responses include ``cache`` (``"miss"``/``"hit"``) and
 ``elapsed_ms``; pass ``"report": true`` in a request to inline the full
@@ -61,180 +71,88 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, IO
+from typing import Any, Callable, IO
 
 from repro.exceptions import QueryRejectedError, ReproError
-from repro.obs.distributed import TraceContext
-from repro.serve.server import METRICS_SCHEMA, CampaignServer, ServeResponse
 
-__all__ = ["execute_request", "handle_line", "handle_request", "serve_stdio"]
+__all__ = [
+    "execute_request", "handle_line", "handle_request", "serve_stdio", "warm",
+]
 
-_QUERY_OPS = ("find_seeds", "find_tags", "joint", "spread")
-
-
-def _response_fields(response: ServeResponse) -> dict[str, Any]:
-    value = response.value
-    fields: dict[str, Any] = {
-        "cache": response.cache,
-        "elapsed_ms": round(response.elapsed_seconds * 1000.0, 3),
-        "class": response.qos_class,
-        "tier": response.tier,
-        "epoch": response.epoch,
-    }
-    if response.degraded is not None:
-        fields["degraded"] = response.degraded
-    if response.op == "find_seeds":
-        fields["seeds"] = [int(s) for s in value.seeds]
-        fields["spread"] = float(value.estimated_spread)
-        fields["engine"] = value.engine
-    elif response.op == "find_tags":
-        fields["tags"] = list(value.tags)
-        fields["spread"] = float(value.estimated_spread)
-        fields["method"] = value.method
-    elif response.op == "joint":
-        fields["seeds"] = [int(s) for s in value.seeds]
-        fields["tags"] = list(value.tags)
-        fields["spread"] = float(value.spread)
-        fields["rounds"] = int(value.rounds)
-        fields["converged"] = bool(value.converged)
-    elif response.op == "spread":
-        fields["spread"] = float(value)
-    return fields
+QUERY_OPS = ("find_seeds", "find_tags", "joint", "spread")
 
 
-def execute_request(
-    server: CampaignServer, request: dict
-) -> ServeResponse | dict:
-    """Run one decoded request against the server (blocking).
+def _limit(request: dict) -> int | None:
+    limit = request.get("limit")
+    return int(limit) if limit is not None else None
 
-    Returns the :class:`ServeResponse` for query ops, or a plain dict
-    for administrative ops (``metrics``/``ping``/``warm_index``).
-    Raises on invalid requests — :func:`handle_line` turns that into an
-    error response.
 
-    ``server`` may also be a shard router (anything exposing
-    ``route_request``): the whole decoded request is then handed to the
-    router verbatim, which dispatches it to a worker process (or
-    broadcasts it) and returns the finished wire response dict — so
-    ``serve_stdio`` speaks the identical protocol whether it fronts one
-    in-process :class:`CampaignServer` or a sharded fleet.
+def _warm_index(server, request: dict) -> dict:
+    return {"warmed_tags": server.warm_index(
+        tags=request.get("tags"),
+        theta_c=request.get("theta_c"),
+        r=int(request.get("r", 2)),
+        seed=int(request.get("seed", 0)),
+    )}
+
+
+def _apply_edits(server, request: dict) -> dict:
+    edits = request.get("edits")
+    if not isinstance(edits, list):
+        raise ReproError("apply_edits requires an \"edits\" list")
+    summary = server.apply_edits(
+        edits, repair=bool(request.get("repair", True))
+    )
+    summary["elapsed_ms"] = round(
+        summary.pop("elapsed_seconds") * 1000.0, 3
+    )
+    return summary
+
+
+#: The admin ops, for every server kind: each entry calls the
+#: same-named method of a ``CampaignServer`` or a
+#: ``ShardedCampaignService``.
+_ADMIN_OPS: dict[str, Callable[[Any, dict], dict]] = {
+    "ping": lambda server, request: server.ping(),
+    "metrics": lambda server, request: server.metrics_payload(),
+    "health": lambda server, request: {"health": server.health()},
+    "events": lambda server, request: server.events_payload(
+        _limit(request)
+    ),
+    "trace": lambda server, request: server.trace_payload(
+        request.get("trace_id")
+    ),
+    "flightrec": lambda server, request: server.flight_payload(
+        _limit(request)
+    ),
+    "warm_index": _warm_index,
+    "apply_edits": _apply_edits,
+}
+
+
+def execute_request(server, request: dict) -> dict:
+    """Run one decoded request against either server kind (blocking).
+
+    Returns the response fields (without ``ok``). Query ops go to
+    ``server.query``: a :class:`~repro.serve.CampaignServer` parses and
+    submits them, a :class:`~repro.serve.ShardedCampaignService` routes
+    the dict to a worker. Admin ops dispatch through one table to
+    same-named methods of either kind. Raises on invalid requests —
+    :func:`handle_line` turns that into an error response.
     """
-    route = getattr(server, "route_request", None)
-    if route is not None:
-        return route(request)
-    # Strip any propagated trace context BEFORE op dispatch so every
-    # validation / unknown-op path behaves byte-identically with or
-    # without tracing; stage it on the server (thread-local) so the
-    # query submitted below roots its spans under the remote parent.
-    trace_ctx = TraceContext.pop_from(request)
     op = request.get("op")
-    if trace_ctx is not None and op in _QUERY_OPS:
-        # Stage only for query ops — an admin op must not leave a
-        # stale context behind for the thread's next query.
-        stage = getattr(server, "stage_trace_context", None)
-        if stage is not None:
-            stage(trace_ctx)
-    if op == "ping":
-        return {"pong": True}
-    if op == "metrics":
-        return {"schema": METRICS_SCHEMA,
-                "metrics": server.metrics(),
-                "cache": server.cache_stats().as_dict()}
-    if op == "health":
-        return {"health": server.health()}
-    if op == "events":
-        limit = request.get("limit")
-        return server.events.payload(
-            int(limit) if limit is not None else None
-        )
-    if op == "warm_index":
-        built = server.warm_index(
-            tags=request.get("tags"),
-            theta_c=request.get("theta_c"),
-            r=int(request.get("r", 2)),
-            seed=int(request.get("seed", 0)),
-        )
-        return {"warmed_tags": built}
-    if op == "apply_edits":
-        edits = request.get("edits")
-        if not isinstance(edits, list):
-            raise ReproError("apply_edits requires an \"edits\" list")
-        summary = server.apply_edits(
-            edits, repair=bool(request.get("repair", True))
-        )
-        summary["elapsed_ms"] = round(
-            summary.pop("elapsed_seconds") * 1000.0, 3
-        )
-        return summary
-    if op not in _QUERY_OPS:
+    if op in QUERY_OPS:
+        return server.query(request)
+    admin = _ADMIN_OPS.get(op) if isinstance(op, str) else None
+    if admin is None:
         raise ReproError(
             f"unknown op {op!r}; expected one of "
-            f"{_QUERY_OPS + ('warm_index', 'apply_edits', 'metrics', 'health', 'events', 'ping')}"
+            f"{QUERY_OPS + tuple(_ADMIN_OPS)}"
         )
-
-    seed = int(request.get("seed", 0))
-    qos_class = str(
-        request.get("class", request.get("qos_class", "interactive"))
-    )
-    deadline = request.get("deadline")
-    deadline = float(deadline) if deadline is not None else None
-    max_samples = request.get("max_samples")
-    max_samples = int(max_samples) if max_samples is not None else None
-    max_rr_members = request.get("max_rr_members")
-    max_rr_members = (
-        int(max_rr_members) if max_rr_members is not None else None
-    )
-
-    if op == "find_seeds":
-        return server.find_seeds(
-            targets=request["targets"],
-            tags=request.get("tags", ()),
-            k=int(request["k"]),
-            engine=request.get("engine"),
-            seed=seed,
-            num_samples=int(request.get("num_samples", 100)),
-            deadline=deadline,
-            max_samples=max_samples,
-            max_rr_members=max_rr_members,
-            qos_class=qos_class,
-        )
-    if op == "find_tags":
-        return server.find_tags(
-            seeds=request["seeds"],
-            targets=request["targets"],
-            r=int(request["r"]),
-            method=request.get("method"),
-            seed=seed,
-            deadline=deadline,
-            max_samples=max_samples,
-            max_rr_members=max_rr_members,
-            qos_class=qos_class,
-        )
-    if op == "joint":
-        return server.jointly_select(
-            targets=request["targets"],
-            k=int(request["k"]),
-            r=int(request["r"]),
-            seed=seed,
-            deadline=deadline,
-            max_samples=max_samples,
-            max_rr_members=max_rr_members,
-            qos_class=qos_class,
-        )
-    return server.estimate_spread(
-        seeds=request["seeds"],
-        targets=request["targets"],
-        tags=request.get("tags", ()),
-        num_samples=request.get("num_samples"),
-        seed=seed,
-        deadline=deadline,
-        max_samples=max_samples,
-        max_rr_members=max_rr_members,
-        qos_class=qos_class,
-    )
+    return admin(server, request)
 
 
-def handle_line(server: CampaignServer, line: str) -> dict:
+def handle_line(server, line: str) -> dict:
     """Decode one request line and return the response dict.
 
     Every failure mode — bad JSON, unknown op, library errors, budget
@@ -244,15 +162,30 @@ def handle_line(server: CampaignServer, line: str) -> dict:
     try:
         request = json.loads(line)
     except json.JSONDecodeError as exc:
-        return {
-            "ok": False,
-            "error": str(exc) or repr(exc),
-            "type": type(exc).__name__,
-        }
+        return error_response(exc)
     return handle_request(server, request)
 
 
-def handle_request(server: CampaignServer, request: object) -> dict:
+def error_response(exc: BaseException) -> dict:
+    """The wire shape of a failed request.
+
+    Admission-control rejections are machine-actionable: clients
+    implement backoff from ``code`` / ``retry_after_ms``, never from
+    prose. Every other failure is a flat ``error`` string.
+    """
+    if isinstance(exc, QueryRejectedError):
+        error: Any = {
+            "code": exc.code,
+            "message": str(exc),
+            "retry_after_ms": exc.retry_after_ms,
+            "class": exc.qos_class,
+        }
+    else:
+        error = str(exc) or repr(exc)
+    return {"ok": False, "error": error, "type": type(exc).__name__}
+
+
+def handle_request(server, request: object) -> dict:
     """Run one decoded request and shape the full response dict.
 
     The dict-level core of :func:`handle_line`, shared by the stdio
@@ -265,41 +198,35 @@ def handle_request(server: CampaignServer, request: object) -> dict:
         if not isinstance(request, dict):
             raise ReproError("request must be a JSON object")
         request_id = request.get("id")
-        result = execute_request(server, request)
         response: dict[str, Any] = {"ok": True}
-        if isinstance(result, ServeResponse):
-            response.update(_response_fields(result))
-            if request.get("report"):
-                response["report"] = result.report
-        else:
-            response.update(result)
-    except QueryRejectedError as exc:
-        # Admission-control rejections are machine-actionable: clients
-        # implement backoff from code/retry_after_ms, never from prose.
-        response = {
-            "ok": False,
-            "error": {
-                "code": exc.code,
-                "message": str(exc),
-                "retry_after_ms": exc.retry_after_ms,
-                "class": exc.qos_class,
-            },
-            "type": type(exc).__name__,
-        }
+        response.update(execute_request(server, request))
     except (ReproError, json.JSONDecodeError, KeyError, ValueError,
             TypeError) as exc:
-        response = {
-            "ok": False,
-            "error": str(exc) or repr(exc),
-            "type": type(exc).__name__,
-        }
+        response = error_response(exc)
     if request_id is not None:
         response["id"] = request_id
     return response
 
 
+def warm(server, requests: list) -> int:
+    """Run a list of request dicts before serving (``repro serve --warm``).
+
+    Each request goes through :func:`handle_request`, so on either
+    server kind it takes the path a wire request takes: a query builds
+    its asset where the repeat query will read it, and an admin op such
+    as ``apply_edits`` reaches every worker of a fleet. Returns the
+    number of requests run; the first failed one raises, so a bad warm
+    file is loud.
+    """
+    for request in requests:
+        response = handle_request(server, dict(request))
+        if not response["ok"]:
+            raise ReproError(f"warm request failed: {response['error']}")
+    return len(requests)
+
+
 def serve_stdio(
-    server: CampaignServer,
+    server,
     stdin: IO[str] | None = None,
     stdout: IO[str] | None = None,
 ) -> int:

@@ -94,6 +94,7 @@ from repro.index.possible_world_index import theta_c as compute_theta_c
 from repro.obs.distributed import (
     FlightRecorder,
     TraceCollector,
+    TraceContext,
     empty_trace_payload,
     span_bundle_from_tracer,
 )
@@ -220,6 +221,38 @@ class ServeResponse:
             value = getattr(self.value, "spread", 0.0)
         return float(value)
 
+    def wire_fields(self, report: bool = False) -> dict[str, Any]:
+        """The response's protocol fields (see :mod:`repro.serve.protocol`)."""
+        value = self.value
+        fields: dict[str, Any] = {
+            "cache": self.cache,
+            "elapsed_ms": round(self.elapsed_seconds * 1000.0, 3),
+            "class": self.qos_class,
+            "tier": self.tier,
+            "epoch": self.epoch,
+        }
+        if self.degraded is not None:
+            fields["degraded"] = self.degraded
+        if self.op == "find_seeds":
+            fields["seeds"] = [int(s) for s in value.seeds]
+            fields["spread"] = float(value.estimated_spread)
+            fields["engine"] = value.engine
+        elif self.op == "find_tags":
+            fields["tags"] = list(value.tags)
+            fields["spread"] = float(value.estimated_spread)
+            fields["method"] = value.method
+        elif self.op == "joint":
+            fields["seeds"] = [int(s) for s in value.seeds]
+            fields["tags"] = list(value.tags)
+            fields["spread"] = float(value.spread)
+            fields["rounds"] = int(value.rounds)
+            fields["converged"] = bool(value.converged)
+        elif self.op == "spread":
+            fields["spread"] = float(value)
+        if report:
+            fields["report"] = self.report
+        return fields
+
 
 #: Rough in-memory footprint of a cached result object: enough for LRU
 #: byte-accounting without a recursive sizeof walk.
@@ -247,6 +280,9 @@ class _QueryItem:
     #: set when a shard router propagated a TraceContext with this
     #: query; the executing thread roots its spans under it.
     trace: Any = None
+    #: Quantified-error tag of a degraded answer (``None`` when full);
+    #: set by the runner, like the final ``tier``.
+    degrade: dict | None = None
 
 
 class CampaignServer:
@@ -440,11 +476,11 @@ class CampaignServer:
         self._query_seq = itertools.count(1)
         self._query_local = threading.local()
         # Distributed tracing (repro.obs.distributed). The staged
-        # context hands an inbound TraceContext from the protocol layer
-        # (request thread) to _submit on the same thread; the export
-        # ring buffers finished span bundles for a shard worker loop to
-        # piggy-back on replies. The flight recorder is always on — a
-        # qualifying record is one lock-append.
+        # context hands an inbound TraceContext from query() to _submit
+        # on the same thread; the export ring buffers finished span
+        # bundles for a shard worker loop to piggy-back on replies. The
+        # flight recorder is always on — a qualifying record is one
+        # lock-append.
         self._staged_trace = threading.local()
         self._span_lock = threading.Lock()
         self._span_exports: deque = deque(maxlen=256)
@@ -603,6 +639,27 @@ class CampaignServer:
         """The asset cache's own counter snapshot."""
         return self._cache.stats()
 
+    # -- admin ops: the same methods on ShardedCampaignService ----------
+    def ping(self) -> dict:
+        """The ``ping`` reply."""
+        return {"pong": True}
+
+    def metrics_payload(self) -> dict:
+        """The ``metrics`` reply (also ``repro serve --metrics-out``)."""
+        return {
+            "schema": METRICS_SCHEMA,
+            "metrics": self.metrics(),
+            "cache": self.cache_stats().as_dict(),
+        }
+
+    def events_payload(self, limit: int | None = None) -> dict:
+        """The ``events`` reply (``/events``): the lifecycle event ring."""
+        return self._events.payload(limit)
+
+    def flight_payload(self, limit: int | None = None) -> dict:
+        """The ``flightrec`` reply (``/debug/slow``)."""
+        return self.flightrec.payload(limit)
+
     def _record(self, name: str, amount: int = 1) -> None:
         with self._metrics_lock:
             self._metrics.count(name, amount)
@@ -681,17 +738,10 @@ class CampaignServer:
             self._in_system -= len(drained)
             self._set_gauge("serve.queue.depth", self._in_system)
             self._sync_class_depths_locked()
-        for item in drained:
-            self._emit(
-                "query.rejected", trace_id=item.qid, op=item.op,
-                reason="ServerClosedError", qos_class=item.qos_class,
-            )
-            try:
-                item.future.set_exception(
-                    ServerClosedError("campaign server is closed")
-                )
-            except InvalidStateError:  # pragma: no cover - client cancel
-                pass
+        self._finalize_rejections([
+            (item, ServerClosedError("campaign server is closed"))
+            for item in drained
+        ])
         if not already:
             self._executor.shutdown(wait=True)
         # In-flight queries have drained; push their final lifecycle
@@ -746,18 +796,6 @@ class CampaignServer:
     def warmed_theta_c(self) -> int | None:
         """Worlds-per-tag count of the warmed index (``None`` if cold)."""
         return self._warm_theta_c
-
-    def warm(self, requests: Sequence[dict]) -> int:
-        """Prebuild assets by executing query specs (protocol dicts).
-
-        Returns the number of requests executed. Used by ``repro serve
-        --warm``; failures propagate so a bad warm file is loud.
-        """
-        from repro.serve.protocol import execute_request
-
-        for request in requests:
-            execute_request(self, dict(request))
-        return len(requests)
 
     # ------------------------------------------------------------------
     # Mutation — versioned edits + asset migration
@@ -922,22 +960,6 @@ class CampaignServer:
     # ------------------------------------------------------------------
     # Distributed tracing (repro.obs.distributed)
     # ------------------------------------------------------------------
-    def stage_trace_context(self, context) -> None:
-        """Stage an inbound :class:`TraceContext` for the next submit.
-
-        Called by the protocol layer on the request thread immediately
-        before dispatching a query op; :meth:`_submit` (same thread)
-        claims it and attaches it to the query item. Thread-local, so
-        concurrent connections cannot cross-contaminate contexts.
-        """
-        self._staged_trace.ctx = context
-
-    def _claim_trace_context(self):
-        context = getattr(self._staged_trace, "ctx", None)
-        if context is not None:
-            self._staged_trace.ctx = None
-        return context
-
     def export_span_bundle(self, bundle: dict) -> None:
         """Buffer a finished span bundle for shipping (bounded ring)."""
         with self._span_lock:
@@ -954,9 +976,7 @@ class CampaignServer:
 
     def chrome_trace(self, trace_id: str | None = None) -> list:
         """Stitched Chrome trace events (empty when ``tracing`` off)."""
-        if self._trace_collector is None:
-            return []
-        return self._trace_collector.chrome_trace(trace_id)
+        return self.trace_payload(trace_id)["events"]
 
     def trace_payload(self, trace_id: str | None = None) -> dict:
         """The ``/trace`` debug document for this server."""
@@ -984,8 +1004,7 @@ class CampaignServer:
                 f"{QUERY_CLASSES}"
             )
         qid = f"q-{next(self._query_seq):06d}"
-        trace_ctx = self._claim_trace_context()
-        trace_id = trace_ctx.trace_id if trace_ctx is not None else qid
+        started = time.monotonic()
         if self._chaos is not None:
             try:
                 self._chaos.at_admission()
@@ -998,8 +1017,12 @@ class CampaignServer:
             deadline = self._chaos.skew_deadline(deadline)
 
         rejection: QueryRejectedError | None = None
-        tier = "full"
-        item: _QueryItem | None = None
+        item = _QueryItem(
+            qid=qid, op=op, runner=runner, future=Future(),
+            qos_class=qos_class, tier="full", deadline_s=deadline,
+            enqueued_at=started,
+            trace=getattr(self._staged_trace, "ctx", None),
+        )
         dequeue_rejects: list = []
         closed = False
         with self._admission_lock:
@@ -1025,16 +1048,11 @@ class CampaignServer:
                 utilization = (self._in_system + 1) / self._capacity
                 if qos_class == "best_effort":
                     if utilization >= self._qos.stale_threshold:
-                        tier = "stale_only"
+                        item.tier = "stale_only"
                     elif utilization >= self._qos.shed_threshold:
-                        tier = "approximate"
+                        item.tier = "approximate"
                 self._in_system += 1
                 self._set_gauge("serve.queue.depth", self._in_system)
-                item = _QueryItem(
-                    qid=qid, op=op, runner=runner, future=Future(),
-                    qos_class=qos_class, tier=tier, deadline_s=deadline,
-                    enqueued_at=time.monotonic(), trace=trace_ctx,
-                )
                 self._queues.push(qos_class, item)
                 dequeue_rejects = self._pump_locked()
 
@@ -1045,27 +1063,19 @@ class CampaignServer:
             )
             raise ServerClosedError("campaign server is closed")
         if rejection is not None:
-            self._record("serve.rejected")
-            self._record(f"serve.rejected.{rejection.code}")
-            self._emit(
-                "query.rejected", trace_id=qid, op=op, code=rejection.code,
-                qos_class=qos_class, phase="admission",
-                retry_after_ms=rejection.retry_after_ms,
-            )
-            self.flightrec.record(
-                reason="rejected", op=op, trace_id=trace_id, qid=qid,
-                code=rejection.code, qos_class=qos_class, phase="admission",
+            self._reject(
+                item, rejection, "admission", time.monotonic() - started,
                 retry_after_ms=rejection.retry_after_ms,
             )
             raise rejection
         self._emit(
             "query.admitted", trace_id=qid, op=op, qos_class=qos_class,
-            tier=tier,
+            tier=item.tier,
         )
-        if tier != "full":
+        if item.tier != "full":
             self._record("serve.degraded.admitted")
             self._emit(
-                "query.degraded", trace_id=qid, op=op, tier=tier,
+                "query.degraded", trace_id=qid, op=op, tier=item.tier,
                 qos_class=qos_class,
             )
         self._emit("query.queued", trace_id=qid, op=op)
@@ -1104,12 +1114,12 @@ class CampaignServer:
                     retry_after_ms=self._retry_after_ms(),
                     qos_class=item.qos_class, phase="queue",
                 )
+            item.queue_wait_s = waited
             if error is not None:
                 self._in_system -= 1
                 self._set_gauge("serve.queue.depth", self._in_system)
                 rejected.append((item, error))
                 continue
-            item.queue_wait_s = waited
             self._dispatched += 1
             try:
                 self._executor.submit(self._execute_item, item)
@@ -1130,42 +1140,70 @@ class CampaignServer:
         """Deliver dequeue-boundary failures (outside the admission lock)."""
         for item, error in rejected:
             if isinstance(error, QueryRejectedError):
-                self._record("serve.rejected")
-                self._record(f"serve.rejected.{error.code}")
-                self._emit(
-                    "query.rejected", trace_id=item.qid, op=item.op,
-                    code=error.code, qos_class=item.qos_class, phase="queue",
-                )
-                self.flightrec.record(
-                    reason="rejected", op=item.op, qid=item.qid,
-                    trace_id=(
-                        item.trace.trace_id if item.trace is not None
-                        else item.qid
-                    ),
-                    code=error.code, qos_class=item.qos_class, phase="queue",
-                )
+                self._reject(item, error, "queue", item.queue_wait_s)
             elif isinstance(error, ServerClosedError):
                 self._emit(
                     "query.rejected", trace_id=item.qid, op=item.op,
                     reason="ServerClosedError", qos_class=item.qos_class,
                 )
             else:
-                self._record("serve.errors")
-                self._record(f"serve.errors.{type(error).__name__}")
                 if isinstance(error, InjectedChaosError):
                     self._record("serve.chaos.dequeue")
                     self._emit(
                         "chaos.injected", trace_id=item.qid, op=item.op,
                         site="dequeue",
                     )
-                self._emit(
-                    "query.done", trace_id=item.qid, op=item.op, ok=False,
-                    error=type(error).__name__,
-                )
+                self._fail(item, error)
             try:
                 item.future.set_exception(error)
             except InvalidStateError:  # pragma: no cover - client cancel
                 pass
+
+    def _reject(self, item: _QueryItem, exc: QueryRejectedError,
+                phase: str, elapsed_s: float, epoch: int | None = None,
+                **event_attrs) -> None:
+        """Count, announce and flight-record one clean rejection."""
+        self._record("serve.rejected")
+        self._record(f"serve.rejected.{exc.code}")
+        self._emit(
+            "query.shed" if exc.code == "shed" else "query.rejected",
+            trace_id=item.qid, op=item.op, code=exc.code,
+            qos_class=item.qos_class, phase=phase, **event_attrs,
+        )
+        self._flight(
+            item, "rejected", elapsed_s,
+            epoch=self._graph_state[1] if epoch is None else epoch,
+            cause={"code": exc.code, "phase": phase,
+                   "retry_after_ms": exc.retry_after_ms},
+        )
+
+    def _fail(self, item: _QueryItem, exc: BaseException) -> None:
+        """Count and announce one failed query (an error, not a rejection)."""
+        self._record("serve.errors")
+        self._record(f"serve.errors.{type(exc).__name__}")
+        self._emit(
+            "query.done", trace_id=item.qid, op=item.op, ok=False,
+            error=type(exc).__name__,
+        )
+
+    def _flight(self, item: _QueryItem, outcome: str, elapsed_s: float,
+                **fields) -> None:
+        """Hand one finished query to the flight recorder."""
+        self.flightrec.record_query(
+            outcome,
+            op=item.op,
+            trace_id=(
+                item.trace.trace_id if item.trace is not None else item.qid
+            ),
+            qos_class=item.qos_class,
+            elapsed_ms=elapsed_s * 1000.0,
+            deadline_ms=(
+                item.deadline_s * 1000.0 if item.deadline_s is not None
+                else None
+            ),
+            queue_wait_ms=item.queue_wait_s * 1000.0,
+            **fields,
+        )
 
     def _execute_item(self, item: _QueryItem) -> None:
         response: ServeResponse | None = None
@@ -1203,28 +1241,17 @@ class CampaignServer:
             self._executing += 1
             self._set_gauge("serve.inflight", self._executing)
         local = self._query_local
-        local.qid = qid
-        local.qos_class = item.qos_class
-        local.tier = item.tier
-        local.degrade = None
-        local.deadline_remaining = None
+        # The runner's helpers read (and the ladder rungs rewrite) this
+        # query's class, tier, degrade tag and deadline through it.
+        local.item = item
         # Pin this query to the current (graph, epoch) pair: every
         # self._graph read below resolves through the thread-local, so
         # a concurrent apply_edits() cannot tear this answer across two
         # graph versions.
         local.graph_state = self._graph_state
         query_epoch = local.graph_state[1]
-        if item.deadline_s is not None:
-            # The deadline covers queue wait + execution: hand the
-            # remainder to the RunBudget so shard-boundary checks
-            # cancel cooperatively (floor keeps the budget valid).
-            local.deadline_remaining = max(
-                item.deadline_s - item.queue_wait_s, 1e-3
-            )
         self._observe_hist("serve.queue.wait_ms", item.queue_wait_s * 1000.0)
         timer = Timer()
-        final_tier = item.tier
-        degrade_info = None
         # Distributed queries run under the router's trace: the
         # propagated trace_id replaces the local qid on spans/events,
         # and the parent link lets the stitcher graft this worker's
@@ -1241,22 +1268,11 @@ class CampaignServer:
                 with obs.span("serve.query", op=op, trace_id=trace_id):
                     value, cache_mode = runner(ob)
                 report = ob.report()
-            final_tier = getattr(local, "tier", None) or "full"
-            degrade_info = getattr(local, "degrade", None)
         except QueryRejectedError as exc:
             # Clean in-execution rejections (shed ladder exhausted,
             # breaker fast-fail) — counted as rejections, not errors.
-            self._record("serve.rejected")
-            self._record(f"serve.rejected.{exc.code}")
-            verb = "query.shed" if exc.code == "shed" else "query.rejected"
-            self._emit(
-                verb, trace_id=qid, op=op, code=exc.code,
-                qos_class=item.qos_class, phase="execute",
-            )
-            self.flightrec.record(
-                reason="rejected", op=op, trace_id=trace_id, qid=qid,
-                code=exc.code, qos_class=item.qos_class, phase="execute",
-            )
+            self._reject(item, exc, "execute", timer.elapsed,
+                         epoch=query_epoch)
             raise
         except BudgetExceededError as exc:
             # Cooperative cancellation at a shard boundary; any partial
@@ -1266,31 +1282,22 @@ class CampaignServer:
                 "query.cancelled", trace_id=qid, op=op, reason=exc.reason,
                 qos_class=item.qos_class, salvaged=exc.partial is not None,
             )
-            self.flightrec.record(
-                reason="cancelled", op=op, trace_id=trace_id, qid=qid,
-                cancel_reason=exc.reason, qos_class=item.qos_class,
-                salvaged=exc.partial is not None,
+            self._flight(
+                item, "cancelled", timer.elapsed, epoch=query_epoch,
+                cause={"error": str(exc), "salvaged": exc.partial is not None},
             )
             raise
         except BaseException as exc:
-            self._record("serve.errors")
-            self._record(f"serve.errors.{type(exc).__name__}")
-            self._emit(
-                "query.done", trace_id=qid, op=op, ok=False,
-                error=type(exc).__name__,
-            )
+            self._fail(item, exc)
             raise
         finally:
-            local.qid = None
-            local.qos_class = None
-            local.tier = None
-            local.degrade = None
-            local.deadline_remaining = None
+            local.item = None
             local.graph_state = None
             with self._admission_lock:
                 self._executing -= 1
                 self._set_gauge("serve.inflight", self._executing)
         elapsed_ms = timer.elapsed * 1000.0
+        final_tier, degrade_info = item.tier, item.degrade
         self._record("serve.queries")
         self._record(f"serve.queries.{item.qos_class}")
         if final_tier != "full":
@@ -1315,29 +1322,12 @@ class CampaignServer:
                 span_bundle_from_tracer(ob.tracer),
                 pid=self._trace_collector.pid,
             )
-        deadline_ms = (
-            item.deadline_s * 1000.0 if item.deadline_s is not None else None
+        traced = trace_ctx is not None or self._trace_collector is not None
+        self._flight(
+            item, "ok", timer.elapsed, tier=final_tier, cache=cache_mode,
+            epoch=query_epoch, degraded=degrade_info,
+            trace=report.get("trace") if traced else None,
         )
-        if self.flightrec.should_record(
-            elapsed_ms=elapsed_ms, deadline_ms=deadline_ms
-        ):
-            missed = deadline_ms is not None and elapsed_ms > deadline_ms
-            self.flightrec.record(
-                reason="deadline_miss" if missed else "slow",
-                op=op, trace_id=trace_id, qid=qid,
-                elapsed_ms=round(elapsed_ms, 3), deadline_ms=deadline_ms,
-                qos_class=item.qos_class, tier=final_tier,
-                decisions={
-                    "qos_class": item.qos_class,
-                    "tier": final_tier,
-                    "degraded": degrade_info,
-                    "queue_wait_ms": round(item.queue_wait_s * 1000.0, 3),
-                    "cache": cache_mode,
-                    "epoch": query_epoch,
-                },
-                phases=report.get("phases"),
-                trace=report.get("trace"),
-            )
         self._emit(
             "query.done", trace_id=qid, op=op, ok=True, cache=cache_mode,
             tier=final_tier, elapsed_ms=round(elapsed_ms, 3),
@@ -1364,10 +1354,13 @@ class CampaignServer:
         deadline = (
             deadline if deadline is not None else self._default_deadline
         )
-        # An explicit per-query deadline is consumed by queue wait: the
-        # execution budget is whatever remains after dequeue.
-        remaining = getattr(self._query_local, "deadline_remaining", None)
-        if remaining is not None:
+        # An explicit per-query deadline covers queue wait + execution:
+        # the execution budget is whatever remains after dequeue (floored
+        # so the budget stays valid), and shard-boundary checks cancel
+        # cooperatively.
+        item = self._query_local.item
+        if item.deadline_s is not None:
+            remaining = max(item.deadline_s - item.queue_wait_s, 1e-3)
             deadline = remaining if deadline is None else min(
                 deadline, remaining
             )
@@ -1404,10 +1397,7 @@ class CampaignServer:
     # Degraded tiers
     # ------------------------------------------------------------------
     def _current_tier(self) -> str:
-        return getattr(self._query_local, "tier", None) or "full"
-
-    def _current_class(self) -> str:
-        return getattr(self._query_local, "qos_class", None) or "interactive"
+        return self._query_local.item.tier
 
     def _sketch_config(self):
         """The sketch config for this query's tier.
@@ -1437,7 +1427,7 @@ class CampaignServer:
         full = self._config.sketch
         theta_used = max(int(getattr(sketch, "theta", 0)), 1)
         eps_eff = full.epsilon * math.sqrt(full.theta_max / theta_used)
-        self._query_local.degrade = {
+        self._query_local.item.degrade = {
             "kind": "reduced_theta",
             "theta": theta_used,
             "theta_max": cfg.theta_max,
@@ -1446,11 +1436,21 @@ class CampaignServer:
             "epsilon_eff": round(max(eps_eff, full.epsilon), 6),
         }
 
+    def _note_reduced_theta(self, cfg) -> None:
+        """Tag an approximate-tier answer built with the reduced ``cfg``."""
+        full = self._config.sketch
+        self._query_local.item.degrade = {
+            "kind": "reduced_theta",
+            "theta_max": cfg.theta_max,
+            "theta_max_full": full.theta_max,
+            "epsilon": full.epsilon,
+        }
+
     def _shed(self) -> QueryShedError:
         return QueryShedError(
             self._utilization(),
             retry_after_ms=self._retry_after_ms(),
-            qos_class=self._current_class(),
+            qos_class=self._query_local.item.qos_class,
         )
 
     # ------------------------------------------------------------------
@@ -1473,7 +1473,7 @@ class CampaignServer:
         cancelled build salvages its partial into the cache under
         ``<kind>_partial`` before propagating.
         """
-        qid = getattr(self._query_local, "qid", None)
+        qid = self._query_local.item.qid
         breaker = self._breaker(key.kind)
 
         def building():
@@ -1485,7 +1485,7 @@ class CampaignServer:
                         breaker.retry_after_ms(),
                         self._qos.min_retry_after_ms,
                     ),
-                    qos_class=self._current_class(),
+                    qos_class=self._query_local.item.qos_class,
                 )
             self._emit(
                 "query.build.start", trace_id=qid, asset=key.kind
@@ -1561,27 +1561,104 @@ class CampaignServer:
             reason=exc.reason,
         )
 
-    def _resident_or_shed(self, ob, key: AssetKey):
-        """Resident-exact asset, or a clean shed (``stale_only`` tier).
+    def _resident(self, ob, key: AssetKey):
+        """The resident asset under exactly ``key`` (or ``None``).
 
-        For ``result``-kind assets only an exact key match is a valid
-        answer (params-mismatched results answer a *different*
-        question), so the stale ladder rung reduces to resident-or-shed.
+        A hit is accounted like any reuse (event + build-time metrics)
+        and IS the full answer, so the query's tier becomes ``full``.
         """
         asset = self._cache.get(key)
-        if asset is None:
-            raise self._shed()
-        qid = getattr(self._query_local, "qid", None)
-        self._emit("query.cache.hit", trace_id=qid, asset=key.kind)
-        if asset.metrics is not None:
-            ob.metrics.merge(asset.metrics)
-        # A resident exact hit IS the full answer — don't mislabel it.
-        self._query_local.tier = "full"
+        if asset is not None:
+            item = self._query_local.item
+            self._emit("query.cache.hit", trace_id=item.qid, asset=key.kind)
+            if asset.metrics is not None:
+                ob.metrics.merge(asset.metrics)
+            item.tier = "full"
         return asset
+
+    def _cached(self, ob, key: AssetKey, build: Callable):
+        """``(value, cache)`` for ``key``, fetched or built via the cache.
+
+        On the ``stale_only`` rung only a resident exact asset answers
+        (a params-mismatched result answers a *different* question), so
+        a miss there is a clean shed.
+        """
+        if self._current_tier() == "stale_only":
+            asset = self._resident(ob, key)
+            if asset is None:
+                raise self._shed()
+            return asset.value, "hit"
+        asset, built_here = self._get_asset(ob, key, build)
+        return asset.value, ("miss" if built_here else "hit")
 
     # ------------------------------------------------------------------
     # Queries — sync facade
     # ------------------------------------------------------------------
+    def query(self, request: dict) -> dict:
+        """Run one decoded query-op request (blocking); return its wire fields.
+
+        The protocol's query entry point (the shard router's is its
+        ``query`` too): parses the request fields, submits the op and
+        shapes the answer. A propagated trace context (the private
+        ``"_trace"`` key) is stripped first and attached to the
+        submitted query, so its spans root under the remote parent.
+        """
+        trace = TraceContext.pop_from(request)
+        op = request.get("op")
+
+        def optional(name, cast):
+            value = request.get(name)
+            return cast(value) if value is not None else None
+
+        common = {
+            "seed": int(request.get("seed", 0)),
+            "qos_class": str(
+                request.get("class", request.get("qos_class", "interactive"))
+            ),
+            "deadline": optional("deadline", float),
+            "max_samples": optional("max_samples", int),
+            "max_rr_members": optional("max_rr_members", int),
+        }
+        # _submit (same thread) reads the staged context; the finally
+        # keeps it from leaking into the thread's next query.
+        self._staged_trace.ctx = trace
+        try:
+            if op == "find_seeds":
+                response = self.find_seeds(
+                    targets=request["targets"],
+                    tags=request.get("tags", ()),
+                    k=int(request["k"]),
+                    engine=request.get("engine"),
+                    num_samples=int(request.get("num_samples", 100)),
+                    **common,
+                )
+            elif op == "find_tags":
+                response = self.find_tags(
+                    seeds=request["seeds"],
+                    targets=request["targets"],
+                    r=int(request["r"]),
+                    method=request.get("method"),
+                    **common,
+                )
+            elif op == "joint":
+                response = self.jointly_select(
+                    targets=request["targets"],
+                    k=int(request["k"]),
+                    r=int(request["r"]),
+                    **common,
+                )
+            else:
+                response = self.estimate_spread(
+                    seeds=request["seeds"],
+                    targets=request["targets"],
+                    tags=request.get("tags", ()),
+                    num_samples=request.get("num_samples"),
+                    **common,
+                )
+        finally:
+            self._staged_trace.ctx = None
+        return response.wire_fields(bool(request.get("report")))
+
     def find_seeds(self, *args, **kwargs) -> ServeResponse:
         """Top-``k`` seed selection (blocking). See :meth:`submit_find_seeds`."""
         return self.submit_find_seeds(*args, **kwargs).result()
@@ -1691,18 +1768,21 @@ class CampaignServer:
 
         # _get_asset accounts a reused asset's build work to this
         # query's report, so warm answers carry cold answers' counters.
-        asset, built_here = self._get_asset(ob, key, build)
-        result = trs_select_from_sketch(self._graph, asset.value, k)
-        selection = SeedSelection(
+        sketch, cache_mode = self._cached(ob, key, build)
+        if tier == "approximate":
+            self._note_sketch_degrade(sketch, cfg)
+        return self._trs_selection(ob, sketch, k), cache_mode
+
+    def _trs_selection(self, ob, sketch, k) -> SeedSelection:
+        """The greedy seeds of a TRS sketch (its memoized cover)."""
+        result = trs_select_from_sketch(self._graph, sketch, k)
+        return SeedSelection(
             seeds=result.seeds,
             estimated_spread=result.estimated_spread,
             engine="trs",
             elapsed_seconds=result.elapsed_seconds,
             telemetry=self._runtime_dict(ob),
         )
-        if tier == "approximate":
-            self._note_sketch_degrade(asset.value, cfg)
-        return selection, ("miss" if built_here else "hit")
 
     def _seeds_from_resident(
         self, ob, key: AssetKey, tdigest, tags_c, k
@@ -1714,57 +1794,37 @@ class CampaignServer:
         under different params (tier ``"stale"``), a salvaged partial
         from a cancelled build (tier ``"salvaged"``); otherwise shed.
         """
-        qid = getattr(self._query_local, "qid", None)
-        asset = self._cache.get(key)
+        item = self._query_local.item
+        asset = self._resident(ob, key)
         if asset is not None:
-            self._emit("query.cache.hit", trace_id=qid, asset=key.kind)
-            if asset.metrics is not None:
-                ob.metrics.merge(asset.metrics)
-            self._query_local.tier = "full"
-            result = trs_select_from_sketch(self._graph, asset.value, k)
-            selection = SeedSelection(
-                seeds=result.seeds,
-                estimated_spread=result.estimated_spread,
-                engine="trs",
-                elapsed_seconds=result.elapsed_seconds,
-                telemetry=self._runtime_dict(ob),
-            )
-            return selection, "hit"
+            return self._trs_selection(ob, asset.value, k), "hit"
         stale = self._cache.find_stale(
             "trs_sketch", tdigest, tags_c, epoch=key.epoch
         )
         if stale is not None:
             self._emit(
-                "query.cache.stale_hit", trace_id=qid, asset="trs_sketch"
+                "query.cache.stale_hit", trace_id=item.qid, asset="trs_sketch"
             )
             if stale.metrics is not None:
                 ob.metrics.merge(stale.metrics)
-            self._query_local.tier = "stale"
-            self._query_local.degrade = {
+            item.tier = "stale"
+            item.degrade = {
                 "kind": "stale_asset",
                 "asset_params": repr(getattr(stale.key, "params", None)),
                 "theta": int(getattr(stale.value, "theta", 0)),
             }
-            result = trs_select_from_sketch(self._graph, stale.value, k)
-            selection = SeedSelection(
-                seeds=result.seeds,
-                estimated_spread=result.estimated_spread,
-                engine="trs",
-                elapsed_seconds=result.elapsed_seconds,
-                telemetry=self._runtime_dict(ob),
-            )
-            return selection, "hit"
+            return self._trs_selection(ob, stale.value, k), "hit"
         salvaged = self._cache.find_stale(
             "trs_sketch_partial", tdigest, tags_c, epoch=key.epoch
         )
         if salvaged is not None and getattr(salvaged.value, "seeds", None):
             self._emit(
-                "query.cache.stale_hit", trace_id=qid,
+                "query.cache.stale_hit", trace_id=item.qid,
                 asset="trs_sketch_partial",
             )
-            self._query_local.tier = "salvaged"
             partial = salvaged.value
-            self._query_local.degrade = {
+            item.tier = "salvaged"
+            item.degrade = {
                 "kind": "salvaged_partial",
                 "theta": int(getattr(partial, "theta", 0)),
             }
@@ -1794,9 +1854,6 @@ class CampaignServer:
             ),
             epoch=self._query_epoch(),
         )
-        if self._current_tier() == "stale_only":
-            asset = self._resident_or_shed(ob, key)
-            return asset.value, "hit"
 
         def build():
             with obs.observe() as build_ob:
@@ -1810,15 +1867,10 @@ class CampaignServer:
                 )
             return selection, _approx_nbytes(selection), build_ob.metrics
 
-        asset, built_here = self._get_asset(ob, key, build)
+        answer = self._cached(ob, key, build)
         if cfg is not self._config.sketch:
-            self._query_local.degrade = {
-                "kind": "reduced_theta",
-                "theta_max": cfg.theta_max,
-                "theta_max_full": self._config.sketch.theta_max,
-                "epsilon": self._config.sketch.epsilon,
-            }
-        return asset.value, ("miss" if built_here else "hit")
+            self._note_reduced_theta(cfg)
+        return answer
 
     def _manager_for(
         self, engine: str, tags_c: tuple[str, ...]
@@ -1878,9 +1930,6 @@ class CampaignServer:
                 ),
                 epoch=self._query_epoch(),
             )
-            if self._current_tier() == "stale_only":
-                asset = self._resident_or_shed(ob, key)
-                return asset.value, "hit"
 
             def build():
                 with obs.observe() as build_ob:
@@ -1893,8 +1942,7 @@ class CampaignServer:
                     selection, _approx_nbytes(selection), build_ob.metrics
                 )
 
-            asset, built_here = self._get_asset(ob, key, build)
-            return asset.value, ("miss" if built_here else "hit")
+            return self._cached(ob, key, build)
 
         return self._submit(
             "find_tags", runner, qos_class=qos_class, deadline=deadline
@@ -1936,9 +1984,6 @@ class CampaignServer:
                 params=("joint", k, r, seed, config_digest(joint_config)),
                 epoch=self._query_epoch(),
             )
-            if self._current_tier() == "stale_only":
-                asset = self._resident_or_shed(ob, key)
-                return asset.value, "hit"
 
             def build():
                 with obs.observe() as build_ob:
@@ -1950,15 +1995,10 @@ class CampaignServer:
                     )
                 return result, _approx_nbytes(result), build_ob.metrics
 
-            asset, built_here = self._get_asset(ob, key, build)
+            answer = self._cached(ob, key, build)
             if joint_config is not self._config:
-                self._query_local.degrade = {
-                    "kind": "reduced_theta",
-                    "theta_max": cfg_sketch.theta_max,
-                    "theta_max_full": self._config.sketch.theta_max,
-                    "epsilon": self._config.sketch.epsilon,
-                }
-            return asset.value, ("miss" if built_here else "hit")
+                self._note_reduced_theta(cfg_sketch)
+            return answer
 
         return self._submit(
             "joint", runner, qos_class=qos_class, deadline=deadline
@@ -2006,9 +2046,6 @@ class CampaignServer:
                 params=("spread", seeds_c, samples, seed),
                 epoch=self._query_epoch(),
             )
-            if self._current_tier() == "stale_only":
-                asset = self._resident_or_shed(ob, key)
-                return asset.value, "hit"
 
             def build():
                 with obs.observe() as build_ob:
@@ -2020,20 +2057,20 @@ class CampaignServer:
                     )
                 return float(value), 64, build_ob.metrics
 
-            asset, built_here = self._get_asset(ob, key, build)
+            answer = self._cached(ob, key, build)
             if samples != samples_full:
                 # Hoeffding: spread ∈ [0, |T|], so the 95% half-width
                 # of an n-sample mean is |T|·sqrt(ln(2/0.05) / (2n)).
                 half_width = num_targets * math.sqrt(
                     math.log(2.0 / 0.05) / (2.0 * samples)
                 )
-                self._query_local.degrade = {
+                self._query_local.item.degrade = {
                     "kind": "reduced_samples",
                     "num_samples": samples,
                     "num_samples_full": samples_full,
                     "ci_width": round(2.0 * half_width, 6),
                 }
-            return asset.value, ("miss" if built_here else "hit")
+            return answer
 
         return self._submit(
             "spread", runner, qos_class=qos_class, deadline=deadline

@@ -61,6 +61,15 @@ the new epoch on every worker.
 
 Fleet observability
 -------------------
+The router runs the in-process server's query lifecycle — admit,
+trace, gate, dispatch (with retry), finish — in one wrapper for both
+affinity and scatter queries, and answers every admin op through the
+same methods as a ``CampaignServer``, so ``repro.serve.protocol`` and
+the live telemetry endpoint never ask which kind they hold. Every
+routed query's outcome reaches
+:meth:`~repro.obs.distributed.FlightRecorder.record_query`, which
+leaves the same flight-record shape as the in-process server.
+
 With ``tracing=True`` the router owns one
 :class:`~repro.obs.distributed.TraceCollector`: every routed query
 opens a router-clock ``serve.query`` span whose
@@ -93,7 +102,6 @@ import numpy as np
 from repro.exceptions import (
     ConfigurationError,
     InvalidQueryError,
-    QueryRejectedError,
     ReproError,
     ServerClosedError,
     WorkerDiedError,
@@ -107,14 +115,16 @@ from repro.obs.distributed import (
     empty_trace_payload,
     merge_event_payloads,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.serve.cache import CacheStats
 from repro.serve.keys import routing_token
+from repro.serve.protocol import QUERY_OPS, error_response, handle_request
 from repro.serve.qos import RouterAdmission
 from repro.serve.ring import HashRing
 
 __all__ = ["ShardedCampaignService", "WorkerSpec"]
 
 _CONTROL_RID = -1
-_QUERY_OPS = ("find_seeds", "find_tags", "joint", "spread")
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +379,6 @@ def _worker_main(conn, worker_id: str, graph_payload, spec: WorkerSpec):
 def _serve_conn(conn, server, sampler, spec: WorkerSpec) -> None:
     from repro import obs
     from repro.obs.distributed import span_bundle_from_tracer
-    from repro.serve.protocol import handle_request
 
     scatter = _ScatterSessions(server, sampler)
     send_lock = threading.Lock()
@@ -418,11 +427,7 @@ def _serve_conn(conn, server, sampler, spec: WorkerSpec) -> None:
             else:
                 payload = handle_request(server, request)
         except BaseException as exc:  # a request must never kill the loop
-            payload = {
-                "ok": False,
-                "error": str(exc) or repr(exc),
-                "type": type(exc).__name__,
-            }
+            payload = error_response(exc)
         reply(rid, payload)
 
     workers = max(int(spec.pool_size), 1) + 2  # queries + admin headroom
@@ -486,11 +491,13 @@ class _Worker:
 class ShardedCampaignService:
     """Router fronting N ``CampaignServer`` worker processes.
 
-    Exposes the single-server surface the serving stack already speaks:
-    :meth:`route_request` (consumed by ``repro.serve.protocol``),
-    :meth:`metrics` / :meth:`health` / ``events`` (consumed by the live
-    telemetry endpoint) and :meth:`apply_edits`. See the module
-    docstring for routing, scatter, failure and epoch semantics.
+    Exposes the ``CampaignServer`` surface the serving stack speaks:
+    :meth:`query` for the query ops, the admin-op methods (``ping``,
+    :meth:`metrics_payload`, :meth:`health`, :meth:`events_payload`,
+    :meth:`trace_payload`, :meth:`flight_payload`, :meth:`warm_index`,
+    :meth:`apply_edits`) that ``repro.serve.protocol`` and the live
+    telemetry endpoint call on either kind, and :meth:`warm`. See the
+    module docstring for routing, scatter, failure and epoch semantics.
 
     Parameters
     ----------
@@ -553,14 +560,17 @@ class ShardedCampaignService:
         self._fleet_lock = threading.RLock()
         self.events = EventLog(capacity=512)
 
-        # Router-local counters (merged into /metrics scrapes).
+        # Router-local metrics (merged into /metrics scrapes), registered
+        # up front so an idle fleet already exposes every family at zero.
         self._stats_lock = threading.Lock()
-        self._dispatched = 0
-        self._retries = 0
-        self._respawn_count = 0
-        self._scatter_queries = 0
-        self._scatter_restarts = 0
-        self._unreachable = 0  # workers that died mid-scrape (cumulative)
+        self._stats = MetricsRegistry()
+        for name in (
+            "router.dispatched", "router.retries", "router.respawns",
+            "router.scatter_queries", "router.scatter_restarts",
+            # workers that died mid-scrape (cumulative)
+            "router.workers.unreachable",
+        ):
+            self._stats.counter(name)
 
         # Fleet tracing + slow-query flight recorder (see module docs).
         self._trace = (
@@ -711,8 +721,7 @@ class ShardedCampaignService:
                 orphans = dict(worker.outstanding)
                 worker.outstanding.clear()
             worker.respawns += 1
-            with self._stats_lock:
-                self._respawn_count += 1
+            self._count("router.respawns")
             self.events.emit(
                 "shard.worker_down", worker=worker.id, pid=worker.pid,
                 orphaned=len(orphans), respawns=worker.respawns,
@@ -739,8 +748,7 @@ class ShardedCampaignService:
             orphans.update(strays)
             for rid, pending in orphans.items():
                 if pending.retryable:
-                    with self._stats_lock:
-                        self._retries += 1
+                    self._count("router.retries")
                     self._send(worker, rid, pending)
                 else:
                     pending.future.set_exception(WorkerDiedError(
@@ -793,10 +801,13 @@ class ShardedCampaignService:
             raise ServerClosedError("sharded service is closed")
         rid = next(self._rids)
         pending = _Pending(Future(), dict(payload), retryable)
-        with self._stats_lock:
-            self._dispatched += 1
+        self._count("router.dispatched")
         self._send(worker, rid, pending)
         return pending.future
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        with self._stats_lock:
+            self._stats.count(name, amount)
 
     def _enter_query(self) -> None:
         with self._gate:
@@ -811,188 +822,171 @@ class ShardedCampaignService:
                 self._gate.notify_all()
 
     # ------------------------------------------------------------------
-    # Public surface
+    # Query lifecycle: admit → trace → gate → attempt/retry → finish
     # ------------------------------------------------------------------
 
-    def route_request(self, request: dict) -> dict:
-        """Dispatch one decoded wire request; returns the wire response.
+    def query(self, request: dict) -> dict:
+        """The protocol's query entry point (see :meth:`route_request`)."""
+        return self.route_request(request)
 
-        Raises :class:`~repro.exceptions.QueryRejectedError` subclasses
-        for router-level admission rejections (the protocol layer turns
-        them into structured error responses) and
-        :class:`WorkerDiedError` when no worker can serve the request.
+    def route_request(self, request: dict) -> dict:
+        """Route one decoded query-op request; returns the wire response.
+
+        ``find_seeds`` with ``"scatter": true`` fans out across every
+        live worker; every other query goes to its ring worker. Raises
+        :class:`~repro.exceptions.QueryRejectedError` subclasses for
+        router-level admission rejections (the protocol layer turns them
+        into structured error responses) and :class:`WorkerDiedError`
+        when no worker can serve the request. Admin ops are not routed:
+        they go through ``repro.serve.protocol``, which broadcasts the
+        ones every worker must see.
         """
         if self._closed:
             raise ServerClosedError("sharded service is closed")
         op = request.get("op")
-        if op == "ping":
-            return {"ok": True, "pong": True,
-                    "workers": len(self._live_workers())}
-        if op == "metrics":
-            return self._metrics_response()
-        if op == "health":
-            return {"ok": True, "health": self.health()}
-        if op == "events":
-            limit = request.get("limit")
-            return {"ok": True, **self.events_payload(
-                int(limit) if limit is not None else None
-            )}
-        if op == "trace":
-            return {"ok": True,
-                    **self.trace_payload(request.get("trace_id"))}
-        if op == "flightrec":
-            limit = request.get("limit")
-            return {"ok": True, **self.flightrec.payload(
-                int(limit) if limit is not None else None
-            )}
-        if op == "apply_edits":
-            edits = request.get("edits")
-            if not isinstance(edits, list):
-                raise ReproError("apply_edits requires an \"edits\" list")
-            return self.apply_edits(
-                edits, repair=bool(request.get("repair", True))
+        if op not in QUERY_OPS:
+            raise ReproError(
+                f"route_request routes query ops only, got {op!r}"
             )
         if op == "find_seeds" and request.get("scatter"):
-            return self._scatter_find_seeds(request)
-        if op in _QUERY_OPS or op == "warm_index":
-            return self._dispatch_affinity(request)
-        raise ReproError(
-            f"unknown op {op!r}; expected one of "
-            f"{_QUERY_OPS + ('warm_index', 'apply_edits', 'metrics', 'health', 'events', 'trace', 'flightrec', 'ping')}"
-        )
+            if request.get("engine") not in (None, "trs"):
+                raise InvalidQueryError(
+                    "scatter coverage supports engine='trs' only"
+                )
+            return self._lifecycle(
+                request, self._scatter_once, restarts=2, scatter=True
+            )
+        return self._lifecycle(request, self._affinity_once)
 
-    # -- tracing + flight-recorder plumbing -----------------------------
+    def _lifecycle(self, request: dict, attempt, restarts=None,
+                   **span_attrs) -> dict:
+        """Run one routed query through the router's lifecycle.
 
-    def _begin_trace(self, op, **attrs) -> Optional[dict]:
-        """Open the router-clock ``serve.query`` span (None when off)."""
-        if self._trace is None:
-            return None
+        Opens the router ``serve.query`` span (when tracing), takes an
+        admission slot and the read side of the edit gate, then calls
+        ``attempt(request, qos, span, n)`` for ``n = 0, 1, ...`` while it
+        raises :class:`WorkerDiedError` and a live worker remains (at
+        most ``restarts`` times when set). Every outcome, raised or
+        answered, closes the span and reaches the flight recorder.
+        """
+        qos = str(request.get("class", request.get("qos_class",
+                                                   "interactive")))
+        started = time.monotonic()
         trace_id = f"t-{next(self._trace_seq):06d}"
-        return self._trace.begin(
-            "serve.query", trace_id=trace_id, op=op, **attrs
+        span = None
+        if self._trace is not None:
+            span = self._trace.begin(
+                "serve.query", trace_id=trace_id, op=request.get("op"),
+                **span_attrs, **{"class": qos},
+            )
+        response: dict = {}
+        error: Optional[BaseException] = None
+        waited = 0.0
+        try:
+            self._admission.admit(qos)
+            try:
+                self._enter_query()
+                try:
+                    waited = time.monotonic() - started
+                    for n in itertools.count():
+                        try:
+                            response = attempt(request, qos, span, n)
+                            break
+                        except WorkerDiedError:
+                            if n == restarts or not self._live_workers():
+                                raise
+                finally:
+                    self._exit_query()
+            finally:
+                self._admission.release(qos)
+        except BaseException as exc:
+            error = exc
+            raise
+        finally:
+            self._finish_query(
+                request, qos, trace_id, span, started, waited, response,
+                error,
+            )
+        return response
+
+    def _finish_query(self, request, qos, trace_id, span, started, waited,
+                      response: dict, error) -> None:
+        """Close the router span and flight-record the query.
+
+        A raised error is classified by its wire shape, exactly like a
+        worker's error reply; only the phase differs. (The wire error
+        does not say in which phase a worker rejected a query.)
+        """
+        phase = "worker"
+        if error is not None:
+            response, phase = error_response(error), "admission"
+        wire_error = response.get("error")
+        outcome, cause = "failed", None
+        if response.get("ok"):
+            outcome = "ok"
+        elif isinstance(wire_error, dict):
+            outcome = "rejected"
+            cause = {"code": wire_error["code"], "phase": phase,
+                     "retry_after_ms": wire_error["retry_after_ms"]}
+        elif response.get("type") == "BudgetExceededError":
+            outcome, cause = "cancelled", {"error": wire_error}
+        if span is None:
+            pass
+        elif error is None:
+            self._trace.finish(
+                span, ok=outcome == "ok", cache=response.get("cache"),
+                tier=response.get("tier"),
+            )
+        else:
+            self._trace.finish(
+                span, error=(
+                    wire_error["code"] if outcome == "rejected"
+                    else response["type"]
+                ),
+            )
+        deadline = request.get("deadline")
+        elapsed_ms = (time.monotonic() - started) * 1000.0
+        deadline_ms = (
+            float(deadline) * 1000.0
+            if isinstance(deadline, (int, float)) else None
+        )
+        self.flightrec.record_query(
+            outcome,
+            op=request.get("op"),
+            trace_id=trace_id,
+            qos_class=qos,
+            elapsed_ms=elapsed_ms,
+            deadline_ms=deadline_ms,
+            queue_wait_ms=waited * 1000.0,
+            tier=response.get("tier"),
+            cache=response.get("cache"),
+            epoch=response.get("epoch", self._epoch),
+            degraded=response.get("degraded"),
+            cause=cause,
+            # The stitched trace is already complete: worker bundles ride
+            # the same reply and are ingested before the future resolves.
+            trace=(
+                (lambda: self._trace.chrome_trace(trace_id))
+                if span is not None else None
+            ),
         )
 
     @staticmethod
-    def _with_trace_context(request: dict, record: Optional[dict]) -> dict:
+    def _with_trace_context(request: dict, span: Optional[dict]) -> dict:
         """Copy ``request`` with the propagation context injected.
 
         Called AFTER :func:`routing_token` so placement never sees the
         private key (the token only reads identity fields anyway).
         """
-        if record is None:
+        if span is None:
             return request
-        ctx = TraceContext(record["trace_id"], record["span_id"])
+        ctx = TraceContext(span["trace_id"], span["span_id"])
         return {**request, TRACE_CONTEXT_KEY: ctx.as_dict()}
 
-    def _flight_rejection(self, exc, op, qos, record, started) -> None:
-        """Flight-record a router-level admission rejection."""
-        if record is not None:
-            self._trace.finish(record, error=exc.code)
-        self.flightrec.record(
-            reason="rejected",
-            op=op,
-            qos_class=qos,
-            phase="admission",
-            code=exc.code,
-            retry_after_ms=exc.retry_after_ms,
-            elapsed_ms=round((time.monotonic() - started) * 1000.0, 3),
-            trace_id=record["trace_id"] if record is not None else None,
-        )
-
-    def _finish_query(self, record, response, op, qos, request,
-                      started) -> None:
-        """Close the router span and flight-record qualifying queries."""
-        elapsed_ms = (time.monotonic() - started) * 1000.0
-        ok = bool(response.get("ok"))
-        if record is not None:
-            self._trace.finish(
-                record, ok=ok,
-                cache=response.get("cache"), tier=response.get("tier"),
-            )
-        error = response.get("error")
-        kind = str(response.get("type") or "")
-        # Only admission/budget failures are flight-worthy; a plain
-        # validation error is the client's bug, not a serving incident.
-        failed = not ok and (
-            isinstance(error, dict) or kind == "BudgetExceededError"
-        )
-        deadline = request.get("deadline")
-        deadline_ms = (
-            float(deadline) * 1000.0 if deadline is not None else None
-        )
-        if not self.flightrec.should_record(
-            elapsed_ms=elapsed_ms, deadline_ms=deadline_ms, failed=failed
-        ):
-            return
-        if failed:
-            reason = (
-                "cancelled" if kind == "BudgetExceededError" else "rejected"
-            )
-        elif deadline_ms is not None and elapsed_ms > deadline_ms:
-            reason = "deadline_miss"
-        else:
-            reason = "slow"
-        decisions = None
-        if ok:
-            decisions = {
-                "class": response.get("class"),
-                "tier": response.get("tier"),
-                "cache": response.get("cache"),
-                "epoch": response.get("epoch"),
-                "degraded": response.get("degraded") is not None,
-            }
-        # The stitched trace is already complete: worker bundles ride
-        # the same reply and are ingested before the future resolves.
-        trace = (
-            self._trace.chrome_trace(record["trace_id"])
-            if record is not None else None
-        )
-        self.flightrec.record(
-            reason=reason,
-            op=op,
-            qos_class=qos,
-            elapsed_ms=round(elapsed_ms, 3),
-            deadline_ms=deadline_ms,
-            code=error.get("code") if isinstance(error, dict) else None,
-            error=error if isinstance(error, str) else None,
-            tier=response.get("tier"),
-            decisions=decisions,
-            trace_id=record["trace_id"] if record is not None else None,
-            trace=trace,
-        )
-
-    def _dispatch_affinity(self, request: dict) -> dict:
-        op = request.get("op")
-        qos = str(request.get("class", request.get("qos_class",
-                                                   "interactive")))
-        started = time.monotonic()
-        record = self._begin_trace(op, **{"class": qos})
-        try:
-            self._admission.admit(qos)
-        except QueryRejectedError as exc:
-            self._flight_rejection(exc, op, qos, record, started)
-            raise
-        try:
-            self._enter_query()
-            try:
-                token = routing_token(request)
-                payload = self._with_trace_context(request, record)
-                while True:
-                    worker = self._place(token)
-                    future = self._call(worker, payload, retryable=True)
-                    try:
-                        response = future.result()
-                    except WorkerDiedError:
-                        # The worker left the ring; re-place on survivors.
-                        continue
-                    self._finish_query(
-                        record, response, op, qos, request, started
-                    )
-                    return response
-            finally:
-                self._exit_query()
-        finally:
-            self._admission.release(qos)
+    def _affinity_once(self, request: dict, qos: str, span, n: int) -> dict:
+        worker = self._place(routing_token(request))
+        payload = self._with_trace_context(request, span)
+        return self._call(worker, payload, retryable=True).result()
 
     def _place(self, token: str) -> _Worker:
         try:
@@ -1009,54 +1003,14 @@ class ShardedCampaignService:
 
     # -- scatter/gather greedy coverage --------------------------------
 
-    def _scatter_find_seeds(self, request: dict) -> dict:
-        qos = str(request.get("class", request.get("qos_class",
-                                                   "interactive")))
-        if request.get("engine") not in (None, "trs"):
-            raise InvalidQueryError(
-                "scatter coverage supports engine='trs' only"
-            )
-        started = time.monotonic()
-        record = self._begin_trace("find_seeds", scatter=True,
-                                   **{"class": qos})
-        try:
-            self._admission.admit(qos)
-        except QueryRejectedError as exc:
-            self._flight_rejection(exc, "find_seeds", qos, record, started)
-            raise
-        try:
-            self._enter_query()
-            try:
-                with self._stats_lock:
-                    self._scatter_queries += 1
-                attempts = 0
-                while True:
-                    try:
-                        response = self._scatter_once(
-                            request, qos, trace=record
-                        )
-                    except WorkerDiedError:
-                        attempts += 1
-                        if attempts > 2:
-                            raise
-                        with self._stats_lock:
-                            self._scatter_restarts += 1
-                        # Deterministic pipeline: a clean restart over
-                        # the surviving fleet gives the same answer.
-                        continue
-                    self._finish_query(
-                        record, response, "find_seeds", qos, request,
-                        started,
-                    )
-                    return response
-            finally:
-                self._exit_query()
-        finally:
-            self._admission.release(qos)
-
     def _scatter_once(
-        self, request: dict, qos: str, trace: Optional[dict] = None
+        self, request: dict, qos: str, trace: Optional[dict], n: int
     ) -> dict:
+        # Deterministic pipeline: a clean restart over the surviving
+        # fleet gives the same answer.
+        self._count(
+            "router.scatter_restarts" if n else "router.scatter_queries"
+        )
         started = time.monotonic()
         live = self._live_workers()
         if not live:
@@ -1066,14 +1020,9 @@ class ShardedCampaignService:
         sid = f"scatter-{next(self._sids)}"
         part_count = len(live)
         k = int(request["k"])
-        # Propagation context for the scatter phases: every build/pick
-        # runs under the router's serve.query span, so the stitched
-        # trace shows one query fanning across all worker pids.
-        ctx = (
-            TraceContext(trace["trace_id"], trace["span_id"]).as_dict()
-            if trace is not None else None
-        )
-        base = {
+        # Every build/pick carries the propagation context, so the
+        # stitched trace shows one query fanning across all worker pids.
+        base = self._with_trace_context({
             "op": "_shard.build",
             "sid": sid,
             "targets": list(request["targets"]),
@@ -1082,9 +1031,7 @@ class ShardedCampaignService:
             "seed": int(request.get("seed", 0)),
             "part_count": part_count,
             "expect_epoch": self._epoch,
-        }
-        if ctx is not None:
-            base[TRACE_CONTEXT_KEY] = ctx
+        }, trace)
         futures = [
             self._call(w, {**base, "part_index": i}, retryable=False)
             for i, w in enumerate(live)
@@ -1122,13 +1069,10 @@ class ShardedCampaignService:
                 seeds.append(best)
                 marginals.append(gain)
                 used[best] = True
-                pick = {"op": "_shard.pick", "sid": sid, "node": best}
-                if ctx is not None:
-                    pick[TRACE_CONTEXT_KEY] = ctx
-                picks = [
-                    self._call(w, dict(pick), retryable=False)
-                    for w in live
-                ]
+                pick = self._with_trace_context(
+                    {"op": "_shard.pick", "sid": sid, "node": best}, trace
+                )
+                picks = [self._call(w, pick, retryable=False) for w in live]
                 responses = self._gather(picks, "scatter pick")
                 counts = np.zeros(num_nodes, dtype=np.int64)
                 covered = 0
@@ -1194,6 +1138,8 @@ class ShardedCampaignService:
         Appends to the journal *before* sending, so a worker that dies
         mid-apply replays the batch during respawn; afterwards every
         worker must report the same epoch or the call fails loudly.
+        Returns the first answering worker's summary, as
+        :meth:`CampaignServer.apply_edits` does, plus ``workers``.
         """
         if not self._spec.mutable:
             raise ReproError(
@@ -1252,9 +1198,13 @@ class ShardedCampaignService:
                     f"epoch divergence after apply_edits: {sorted(epochs)}"
                 )
             self._epoch = epochs.pop()
-            if summary is None:  # every worker died and respawned
-                summary = {"ok": True, "epoch": self._epoch}
+            # Empty when every worker died and respawned mid-broadcast.
+            summary = dict(summary or {})
+            summary.pop("ok", None)
             summary["epoch"] = self._epoch
+            summary["elapsed_seconds"] = (
+                summary.pop("elapsed_ms", 0.0) / 1000.0
+            )
             summary["workers"] = len(futures)
             self.events.emit(
                 "shard.epoch_broadcast", epoch=self._epoch,
@@ -1269,60 +1219,39 @@ class ShardedCampaignService:
     # -- observability ---------------------------------------------------
 
     def _router_snapshot(self) -> dict:
-        with self._stats_lock:
-            counters = {
-                "router.dispatched": self._dispatched,
-                "router.retries": self._retries,
-                "router.respawns": self._respawn_count,
-                "router.scatter_queries": self._scatter_queries,
-                "router.scatter_restarts": self._scatter_restarts,
-                "router.workers.unreachable": self._unreachable,
-            }
         admission = self._admission.snapshot()
-        counters["router.admitted"] = admission["admitted"]
-        counters["router.rejected"] = admission["rejected"]
-        return {
-            "counters": counters,
-            "gauges": {
-                "router.workers": float(len(self._live_workers())),
-                "router.in_flight": float(admission["in_flight"]),
-            },
-            "histograms": {},
-        }
+        with self._stats_lock:
+            self._stats.set_gauge(
+                "router.workers", len(self._live_workers())
+            )
+            self._stats.set_gauge("router.in_flight", admission["in_flight"])
+            snapshot = self._stats.as_dict()
+        # RouterAdmission keeps its own totals under its lock.
+        snapshot["counters"]["router.admitted"] = admission["admitted"]
+        snapshot["counters"]["router.rejected"] = admission["rejected"]
+        return snapshot
 
-    def _metrics_response(self) -> dict:
+    def metrics_payload(self) -> dict:
+        """The ``metrics`` reply: every worker's snapshot merged, plus
+        the router's own families and a per-worker ``workers`` map."""
         from repro.obs.live import merge_metrics_snapshots
         from repro.serve.server import METRICS_SCHEMA
 
-        futures = [
-            (w, self._call(w, {"op": "metrics"}, retryable=True))
-            for w in self._live_workers()
-        ]
         snapshots: List[dict] = []
         cache: Dict[str, Any] = {}
         per_worker: Dict[str, Dict[str, Any]] = {}
-        unreachable = 0
-        for worker, future in futures:
+        for worker, response in self._ask_live({"op": "metrics"}):
             info: Dict[str, Any] = {
                 "pid": worker.pid,
                 "endpoint": worker.endpoint,
                 "respawns": worker.respawns,
             }
-            try:
-                response = future.result()
-            except (WorkerDiedError, ServerClosedError) as exc:
+            per_worker[worker.id] = info
+            if not response.get("ok"):
                 # A worker dying mid-scrape is a labeled gap in the
                 # response, never a KeyError or a silently missing row.
                 info["unreachable"] = True
-                info["error"] = type(exc).__name__
-                per_worker[worker.id] = info
-                unreachable += 1
-                continue
-            if not response.get("ok"):
-                info["unreachable"] = True
                 info["error"] = str(response.get("error"))
-                per_worker[worker.id] = info
-                unreachable += 1
                 continue
             metrics = response.get("metrics") or {}
             snapshots.append(metrics)
@@ -1331,13 +1260,12 @@ class ShardedCampaignService:
             info["queries"] = int(counters.get("serve.queries") or 0)
             info["inflight"] = float(gauges.get("serve.inflight") or 0.0)
             info["epoch"] = int(gauges.get("serve.epoch") or 0)
-            per_worker[worker.id] = info
             for key, value in (response.get("cache") or {}).items():
                 if isinstance(value, (int, float)):
                     cache[key] = cache.get(key, 0) + value
+        unreachable = sum("unreachable" in i for i in per_worker.values())
         if unreachable:
-            with self._stats_lock:
-                self._unreachable += unreachable
+            self._count("router.workers.unreachable", unreachable)
         # Router snapshot is taken AFTER the scrape so the unreachable
         # counter reflects this very scrape's gaps.
         snapshots.insert(0, self._router_snapshot())
@@ -1346,22 +1274,16 @@ class ShardedCampaignService:
         # across workers; rendered as labeled OpenMetrics series and the
         # per-worker rows of `repro top`.
         for worker_id, info in per_worker.items():
-            if info.get("unreachable"):
+            if "unreachable" in info:
                 continue
             merged["counters"][f"worker.{worker_id}.queries"] = (
                 info["queries"]
             )
-            merged["gauges"][f"worker.{worker_id}.inflight"] = (
-                info["inflight"]
-            )
-            merged["gauges"][f"worker.{worker_id}.respawns"] = float(
-                info["respawns"]
-            )
-            merged["gauges"][f"worker.{worker_id}.epoch"] = float(
-                info["epoch"]
-            )
+            for name in ("inflight", "respawns", "epoch"):
+                merged["gauges"][f"worker.{worker_id}.{name}"] = float(
+                    info[name]
+                )
         return {
-            "ok": True,
             "schema": METRICS_SCHEMA,
             "metrics": merged,
             "cache": cache,
@@ -1375,51 +1297,27 @@ class ShardedCampaignService:
         and merges them into one ordered stream; a worker that dies
         mid-scrape becomes a labeled gap in ``sources``.
         """
-        futures = [
-            (w, self._call(w, {"op": "events"}, retryable=True))
-            for w in self._live_workers()
-        ]
         payloads: Dict[str, Any] = {"router": self.events.payload(None)}
-        for worker, future in futures:
-            try:
-                response = future.result()
-            except (WorkerDiedError, ServerClosedError):
-                payloads[worker.id] = None
-                continue
+        for worker, response in self._ask_live({"op": "events"}):
             payloads[worker.id] = response if response.get("ok") else None
         return merge_event_payloads(
             payloads, epoch=self._epoch, limit=limit
         )
 
-    def _drain_worker_spans(self) -> None:
-        """Pull buffered span bundles out of every live worker.
-
-        The ``_shard.spans`` reply carries the bundles piggy-backed, so
-        by the time each future resolves the receive loop has already
-        ingested them into the collector.
-        """
-        futures = [
-            (w, self._call(w, {"op": "_shard.spans"}, retryable=False))
-            for w in self._live_workers()
-        ]
-        for _worker, future in futures:
-            try:
-                future.result()
-            except (WorkerDiedError, ServerClosedError):
-                continue
-
     def chrome_trace(self, trace_id: Optional[str] = None) -> List[dict]:
         """One stitched fleet Chrome trace (empty when tracing is off)."""
-        if self._trace is None:
-            return []
-        self._drain_worker_spans()
-        return self._trace.chrome_trace(trace_id)
+        return self.trace_payload(trace_id)["events"]
 
     def trace_payload(self, trace_id: Optional[str] = None) -> dict:
-        """The ``/trace`` debug document for the fleet."""
+        """The ``/trace`` debug document for the fleet.
+
+        Drains every live worker's buffered span bundles first: the
+        ``_shard.spans`` reply carries them piggy-backed, so the receive
+        loop has ingested them by the time each reply resolves.
+        """
         if self._trace is None:
             return empty_trace_payload()
-        self._drain_worker_spans()
+        self._ask_live({"op": "_shard.spans"}, retryable=False)
         return self._trace.payload(trace_id)
 
     def flight_payload(self, limit: Optional[int] = None) -> dict:
@@ -1428,11 +1326,17 @@ class ShardedCampaignService:
 
     def metrics(self) -> dict:
         """Aggregated fleet metrics (one merged snapshot)."""
-        return self._metrics_response()["metrics"]
+        return self.metrics_payload()["metrics"]
 
-    def cache_stats(self):
-        """Summed per-worker cache stats as a plain dict-like object."""
-        return _DictStats(self._metrics_response()["cache"])
+    def cache_stats(self) -> CacheStats:
+        """Cache stats summed over the live workers."""
+        return CacheStats(**self.metrics_payload()["cache"])
+
+    def ping(self) -> dict:
+        """The ``ping`` reply, with the live worker count."""
+        if self._closed:
+            raise ServerClosedError("sharded service is closed")
+        return {"pong": True, "workers": len(self._live_workers())}
 
     def health(self) -> dict:
         """Router-local health: never blocks on worker round-trips."""
@@ -1480,37 +1384,51 @@ class ShardedCampaignService:
         """Live worker pids, for chaos tests that SIGKILL a worker."""
         return {w.id: w.pid for w in self._live_workers()}
 
-    # -- convenience query helpers (wire-shaped responses) --------------
-
-    def find_seeds(self, targets, tags=(), k=1, **kw) -> dict:
-        return self.route_request({
-            "op": "find_seeds", "targets": list(targets),
-            "tags": list(tags), "k": k, **kw,
-        })
-
-    def find_tags(self, seeds, targets, r=1, **kw) -> dict:
-        return self.route_request({
-            "op": "find_tags", "seeds": list(seeds),
-            "targets": list(targets), "r": r, **kw,
-        })
-
-    def estimate_spread(self, seeds, targets, tags=(), **kw) -> dict:
-        return self.route_request({
-            "op": "spread", "seeds": list(seeds),
-            "targets": list(targets), "tags": list(tags), **kw,
-        })
-
     def broadcast(self, request: dict) -> List[dict]:
-        """Send one request to every live worker and gather the replies.
+        """Send one request to every live worker and gather the replies."""
+        return [response for _worker, response in self._ask_live(request)]
 
-        For fleet-wide warming (``warm_index``) where affinity routing
-        would prime only one worker's cache.
+    def _ask_live(
+        self, request: dict, retryable: bool = True
+    ) -> List[Tuple[_Worker, dict]]:
+        """``(worker, reply)`` from every live worker, sent concurrently.
+
+        A worker that dies (or a fleet that closes) mid-call replies
+        ``{"ok": False, "error": <exception name>}``: a labeled gap in
+        the gathered replies, never a raise.
         """
         futures = [
-            self._call(w, dict(request), retryable=True)
+            (w, self._call(w, request, retryable))
             for w in self._live_workers()
         ]
-        return [f.result() for f in futures]
+        replies = []
+        for worker, future in futures:
+            try:
+                replies.append((worker, future.result()))
+            except (WorkerDiedError, ServerClosedError) as exc:
+                replies.append(
+                    (worker, {"ok": False, "error": type(exc).__name__})
+                )
+        return replies
+
+    # -- warm-up ---------------------------------------------------------
+
+    def warm_index(self, tags=None, theta_c=None, r: int = 2,
+                   seed: int = 0) -> List[str]:
+        """Freeze the same possible-world index on every live worker.
+
+        Broadcast, not routed: any worker may serve an index-backed
+        query. The build is seeded, so every worker warms the same tags;
+        returns the first worker's list.
+        """
+        replies = self.broadcast({
+            "op": "warm_index", "tags": tags, "theta_c": theta_c,
+            "r": r, "seed": seed,
+        })
+        for reply in replies:
+            if not reply.get("ok"):
+                raise ReproError(f"warm_index failed: {reply.get('error')}")
+        return replies[0]["warmed_tags"] if replies else []
 
     # -- lifecycle -------------------------------------------------------
 
@@ -1558,21 +1476,3 @@ class ShardedCampaignService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class _DictStats(dict):
-    """Summed cache counters with the ``CacheStats`` surface callers use.
-
-    Numeric fields are fleet-wide sums; missing fields read as 0 so
-    ``stats.entries``-style access keeps working against any worker
-    cache-stats version.
-    """
-
-    def as_dict(self) -> dict:
-        return dict(self)
-
-    def __getattr__(self, name: str):
-        try:
-            return self[name]
-        except KeyError:
-            return 0
