@@ -15,10 +15,17 @@ path-set spread over 10 active edges. ``test_micro_indexed_rr`` times
 Algorithm 2's LL-TRS seed-step traversal on the same ball (θ=1000
 working graphs over r=2 tags): the scalar loop, one working-graph mask
 and one Python BFS per RR set, against the 64-lane indexed kernel.
+
+``test_micro_serve_hit`` and ``test_micro_fleet_read`` time one cached
+TRS ``find_seeds`` read through the wire protocol (``handle_line``):
+against an in-process ``CampaignServer`` and through a 1-worker
+``ShardedCampaignService``. A hit does no cover work, so both measure
+the serving plumbing around a memoized lookup.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -26,11 +33,14 @@ import pytest
 
 from benchmarks._harness import SKETCH, dataset
 from repro.core.initialization import frequency_tags
+from repro.core.joint import JointConfig
 from repro.datasets import bfs_targets
 from repro.diffusion import simulate_cascade
 from repro.engine import SamplingEngine
 from repro.index import make_lltrs_manager, make_ltrs_manager, theta_c
 from repro.index.itrs import sample_indexed_rr_sets
+from repro.serve import CampaignServer, ShardedCampaignService, WorkerSpec
+from repro.serve.protocol import handle_line
 from repro.sketch import SketchConfig, reverse_reachable_set
 from tests.test_indexed_kernel import hybrid_rr_set
 from repro.tags import (
@@ -227,3 +237,41 @@ def test_micro_index_build(benchmark):
 
     manager = benchmark(build)
     assert manager.stats.worlds_built == 50 * len(tags)
+
+
+def _hit_line():
+    graph, targets, tags, _probs = _setup()
+    line = json.dumps({
+        "op": "find_seeds", "targets": [int(t) for t in targets],
+        "tags": tags[:3], "k": 8, "engine": "trs", "seed": 1,
+    })
+    return graph, line
+
+
+_HIT_CONFIG = JointConfig(sketch=SketchConfig(theta_max=5000))
+
+
+def test_micro_serve_hit(benchmark):
+    """A cached find_seeds read against an in-process server."""
+    graph, line = _hit_line()
+    with SamplingEngine(mode="bitparallel", workers=1) as engine:
+        with CampaignServer(
+            graph, config=_HIT_CONFIG, sampler=engine, pool_size=1
+        ) as server:
+            assert handle_line(server, line)["cache"] == "miss"
+            reply = benchmark(handle_line, server, line)
+    assert reply["ok"] and reply["cache"] == "hit"
+
+
+def test_micro_fleet_read(benchmark):
+    """The same cached read through a 1-worker fleet (router + pipe)."""
+    graph, line = _hit_line()
+    spec = WorkerSpec(
+        config=_HIT_CONFIG, engine_mode="bitparallel", pool_size=1
+    )
+    with ShardedCampaignService(
+        graph, workers=1, spec=spec, share_graph=False
+    ) as service:
+        assert handle_line(service, line)["cache"] == "miss"
+        reply = benchmark(handle_line, service, line)
+    assert reply["ok"] and reply["cache"] == "hit"

@@ -25,6 +25,13 @@ the property tests; this leg isolates compute scaling) and every
 fleet's answers must be bit-identical to the 1-worker fleet's.
 ``speedup_4w`` is gated in CI.
 
+A **cached-read leg** measures what a cache hit costs through the
+wire protocol (``handle_line``): the CPU per read of the whole process
+in-process, and of the router plus its worker through a 1-worker
+fleet (the worker's CPU read from ``/proc/<pid>/task/*/schedstat``;
+``null`` where that is unavailable). A hit does no cover work, so this
+is the serving plumbing's own cost.
+
 A **tracing-overhead leg** runs two 2-worker fleets side by side, one
 with distributed tracing on, and sends both the same sequential cold
 queries with real sketch builds, interleaved over several repeats; the
@@ -304,6 +311,97 @@ def _bench_sharded(graph, targets, tags, k, worker_counts=(1, 2, 4),
     }
 
 
+def _task_cpu_s(pid: int) -> float | None:
+    """CPU seconds the live threads of ``pid`` have run (Linux only)."""
+    try:
+        tids = os.listdir(f"/proc/{pid}/task")
+    except OSError:
+        return None
+    total = 0
+    for tid in tids:
+        try:
+            with open(f"/proc/{pid}/task/{tid}/schedstat") as handle:
+                total += int(handle.read().split()[0])
+        except OSError:  # the thread ended between listdir and open
+            pass
+    return total / 1e9
+
+
+def _bench_cached_read(graph, targets, tags, k, reads=500):
+    """CPU and wall per cached ``find_seeds`` read, in-process and fleet.
+
+    Both kinds run a single-thread query pool over a serial bit-parallel
+    engine and answer the same warm TRS read ``reads`` times through
+    :func:`repro.serve.protocol.handle_line`, as a client's JSON line
+    would reach them. Fleet CPU adds the worker process's CPU to the
+    router's; a hit does no cover work, so this is the serving
+    plumbing's own cost per read.
+    """
+    from repro.engine import SamplingEngine
+    from repro.serve import ShardedCampaignService, WorkerSpec
+    from repro.serve.protocol import handle_line
+
+    config = JointConfig(sketch=SketchConfig(theta_max=5000))
+    line = json.dumps({
+        "op": "find_seeds", "targets": targets, "tags": tags, "k": k,
+        "engine": "trs", "seed": 0,
+    })
+
+    def measure(target, pids):
+        def cpu():
+            workers = [_task_cpu_s(pid) for pid in pids]
+            if any(c is None for c in workers):
+                return time.process_time(), None
+            return time.process_time(), sum(workers)
+
+        first = handle_line(target, line)
+        assert first["ok"] and first["cache"] == "miss", first
+        for _ in range(50):  # settle allocators and branch caches
+            handle_line(target, line)
+        own0, workers0 = cpu()
+        start = time.perf_counter()
+        for _ in range(reads):
+            reply = handle_line(target, line)
+        wall = time.perf_counter() - start
+        own1, workers1 = cpu()
+        assert reply["ok"] and reply["cache"] == "hit", reply
+        row = {
+            "wall_ms_per_read": round(wall / reads * 1000.0, 4),
+            "process_cpu_ms_per_read": round(
+                (own1 - own0) / reads * 1000.0, 4
+            ),
+            "seeds": reply["seeds"],
+        }
+        if pids:
+            worker = (
+                None if workers0 is None or workers1 is None
+                else round((workers1 - workers0) / reads * 1000.0, 4)
+            )
+            row["worker_cpu_ms_per_read"] = worker
+            row["cpu_ms_per_read"] = (
+                None if worker is None
+                else round(row["process_cpu_ms_per_read"] + worker, 4)
+            )
+        else:
+            row["cpu_ms_per_read"] = row["process_cpu_ms_per_read"]
+        return row
+
+    with SamplingEngine(mode="bitparallel", workers=1) as sampler:
+        with CampaignServer(
+            graph, config=config, sampler=sampler, pool_size=1
+        ) as server:
+            in_process = measure(server, ())
+    spec = WorkerSpec(config=config, engine_mode="bitparallel", pool_size=1)
+    with ShardedCampaignService(
+        graph, workers=1, spec=spec, share_graph=False
+    ) as service:
+        fleet = measure(service, list(service.worker_pids().values()))
+    assert fleet.pop("seeds") == in_process.pop("seeds"), (
+        "the fleet's cached answer differs from the in-process one"
+    )
+    return {"reads": reads, "in_process": in_process, "fleet": fleet}
+
+
 def _bench_trace_overhead(graph, targets, tags, k, workers=2, queries=32,
                           repeats=9):
     """Distributed-tracing overhead on real, CPU-bound sketch builds.
@@ -436,6 +534,14 @@ def main() -> int:
             f"{row['throughput_qps']:>6.1f} q/s  "
             f"{row['speedup_vs_1w']:>4.1f}x"
         )
+    cached_read = _bench_cached_read(graph, targets, tags, k)
+    print(f"\ncached read ({cached_read['reads']} warm find_seeds, {label}):")
+    for kind in ("in_process", "fleet"):
+        row = cached_read[kind]
+        print(
+            f"  {kind:<10}  cpu {row['cpu_ms_per_read']} ms/read  "
+            f"wall {row['wall_ms_per_read']} ms/read"
+        )
     traced = _bench_trace_overhead(graph, targets, tags, k)
     sharded["traced"] = traced
     sharded["trace_overhead_frac"] = traced["overhead_frac"]
@@ -455,6 +561,7 @@ def main() -> int:
         "warm_repeats": args.warm_repeats,
         "results": results,
         "sharded": sharded,
+        "cached_read": cached_read,
     }
     Path(args.output).write_text(
         json.dumps(payload, indent=1), encoding="utf-8"

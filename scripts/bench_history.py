@@ -47,6 +47,7 @@ def _summarize_serve(payload: dict) -> dict:
     gated = results[-1]
     sharded = payload.get("sharded") or {}
     traced = sharded.get("traced") or {}
+    cached = payload.get("cached_read") or {}
     return {
         "bench": "serve",
         "config": gated.get("config"),
@@ -55,6 +56,12 @@ def _summarize_serve(payload: dict) -> dict:
         "sharded_speedup_4w": sharded.get("speedup_4w"),
         "trace_overhead_frac": sharded.get("trace_overhead_frac"),
         "trace_events": traced.get("trace_events"),
+        "cached_read_cpu_ms": (cached.get("in_process") or {}).get(
+            "cpu_ms_per_read"
+        ),
+        "fleet_cached_read_cpu_ms": (cached.get("fleet") or {}).get(
+            "cpu_ms_per_read"
+        ),
     }
 
 

@@ -131,11 +131,6 @@ def _make_sampler(args: argparse.Namespace):
         mode = "bitparallel"
     from repro.engine.parallel import SamplingEngine
 
-    retry_policy = None
-    if retries is not None:
-        from repro.engine.runtime import RetryPolicy
-
-        retry_policy = RetryPolicy(max_attempts=max(int(retries), 0) + 1)
     checkpoint = None
     if checkpoint_dir is not None:
         from repro.engine.checkpoint import CheckpointManager
@@ -146,9 +141,19 @@ def _make_sampler(args: argparse.Namespace):
     return SamplingEngine(
         mode=mode,
         workers=workers,
-        retry_policy=retry_policy,
+        retry_policy=_make_retry_policy(args),
         checkpoint=checkpoint,
     )
+
+
+def _make_retry_policy(args: argparse.Namespace):
+    """The ``RetryPolicy`` that ``--retries`` asks for, or None."""
+    retries = getattr(args, "retries", None)
+    if retries is None:
+        return None
+    from repro.engine.runtime import RetryPolicy
+
+    return RetryPolicy(max_attempts=max(int(retries), 0) + 1)
 
 
 def _make_budget(args: argparse.Namespace):
@@ -225,9 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--retries", type=int, default=None,
             help=(
                 "retries per shard for transient failures (implies "
-                "--sampler bitparallel; engine default is 2); serve "
-                "accepts it only single-process, since fleet workers "
-                "carry no retry policy"
+                "--sampler bitparallel; engine default is 2); on serve "
+                "--workers N every worker's engine retries"
             ),
         )
         p.add_argument(
@@ -840,9 +844,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if sharded:
         from repro.serve import ShardedCampaignService, WorkerSpec
 
+        # As in-process, --retries without --sampler implies the
+        # bit-parallel engine, whose runtime layer does the retrying.
+        retry_policy = _make_retry_policy(args)
+        engine_mode = getattr(args, "sampler", None)
+        if engine_mode is None and retry_policy is not None:
+            engine_mode = "bitparallel"
         spec = WorkerSpec(
-            engine_mode=getattr(args, "sampler", None),
+            engine_mode=engine_mode,
             chaos=_chaos_kwargs(args),
+            retry_policy=retry_policy,
             **settings,
         )
         server = ShardedCampaignService(
@@ -1221,7 +1232,7 @@ def _check_serve_flags(
     """Refuse shared runtime flags that ``serve`` would silently drop.
 
     The server samples only through per-query engine views, which never
-    checkpoint, and a fleet's ``WorkerSpec`` carries no retry policy.
+    checkpoint.
     """
     if args.checkpoint_dir is not None:
         parser.error(
@@ -1232,11 +1243,6 @@ def _check_serve_flags(
         parser.error(
             "serve does not support --resume: served queries never "
             "checkpoint"
-        )
-    if args.retries is not None and args.workers > 1:
-        parser.error(
-            "serve --workers N (N > 1) does not support --retries: "
-            "fleet workers carry no retry policy"
         )
 
 

@@ -285,6 +285,7 @@ class RunTelemetry:
         "parallel_fallbacks",
     )
     _PREFIX = "runtime."
+    _COUNTERS = tuple((name, "runtime." + name) for name in FIELDS)
 
     __slots__ = ("registry",)
 
@@ -317,7 +318,10 @@ class RunTelemetry:
 
     def as_dict(self) -> dict[str, int]:
         """Plain-dict snapshot (for result objects / JSON)."""
-        return {name: getattr(self, name) for name in self.FIELDS}
+        value = self.registry.value
+        return {
+            name: int(value(counter, 0)) for name, counter in self._COUNTERS
+        }
 
     def merge(self, other: "RunTelemetry") -> None:
         """Add another telemetry block into this one."""

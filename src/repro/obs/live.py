@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import bucket_quantile
+from repro.obs.metrics import bucket_label, bucket_quantile
 
 __all__ = [
     "OPENMETRICS_CONTENT_TYPE",
@@ -190,7 +190,8 @@ def merge_metrics_snapshots(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
             agg["sum"] += float(hist.get("sum") or 0.0)
             for edge, n in (hist.get("buckets") or {}).items():
                 try:
-                    edge = int(edge)  # JSON transport stringifies keys
+                    # JSON transport stringifies keys
+                    edge = float(edge)
                     n = int(n)
                 except (TypeError, ValueError):
                     continue
@@ -222,7 +223,7 @@ def merge_metrics_snapshots(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
                     lo=agg.get("min"), hi=agg.get("max"),
                 )
         agg["buckets"] = {
-            str(k): v for k, v in sorted(agg["buckets"].items())
+            bucket_label(k): v for k, v in sorted(agg["buckets"].items())
         }
 
     return {"counters": counters, "gauges": gauges,
@@ -307,13 +308,13 @@ def render_openmetrics(
             count = int(hist.get("count") or 0)
             total = float(hist.get("sum") or 0.0)
             buckets = {
-                int(edge): n
+                float(edge): n
                 for edge, n in (hist.get("buckets") or {}).items()
             }
             cumulative = 0
             for edge in sorted(e for e in buckets if e != -1):
                 cumulative += buckets[edge]
-                le = dict(labels, le=str(edge))
+                le = dict(labels, le=bucket_label(edge))
                 lines.append(
                     f"{family}_bucket{_format_labels(le)} {cumulative}"
                 )
@@ -463,12 +464,14 @@ def quantile_from_cumulative(
     count = int(count)
     if count <= 0:
         return float("nan")
-    finite = sorted(int(k) for k in cumulative if k != "+Inf")
-    buckets: Dict[int, int] = {}
+    finite = sorted(
+        (float(k), k) for k in cumulative if k != "+Inf"
+    )
+    buckets: Dict[float, int] = {}
     previous = 0.0
-    for edge in finite:
-        buckets[edge] = max(int(cumulative[str(edge)] - previous), 0)
-        previous = cumulative[str(edge)]
+    for edge, label in finite:
+        buckets[edge] = max(int(cumulative[label] - previous), 0)
+        previous = cumulative[label]
     overflow = max(int(count - previous), 0)
     if overflow:
         buckets[-1] = overflow
@@ -484,7 +487,7 @@ def quantile_from_cumulative(
 class _Sample:
     t: float  # monotonic
     counters: Dict[str, int]
-    histograms: Dict[str, Tuple[int, Dict[int, int]]]  # name -> (count, buckets)
+    histograms: Dict[str, Tuple[int, Dict[float, int]]]  # name -> (count, buckets)
 
 
 class TelemetryExporter:
@@ -580,7 +583,7 @@ class TelemetryExporter:
             name: (
                 int(hist.get("count") or 0),
                 {
-                    int(edge): n
+                    float(edge): n
                     for edge, n in (hist.get("buckets") or {}).items()
                 },
             )

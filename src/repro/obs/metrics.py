@@ -14,8 +14,10 @@ dependencies and deterministic, process-local semantics:
     or the number of workers an engine ended up using.
 
 ``Histogram``
-    Streaming summary (count / sum / min / max) plus power-of-two
-    buckets, for distributions such as per-sample frontier sizes.
+    Streaming summary (count / sum / min / max) plus log-linear
+    buckets (eight linear sub-buckets per power-of-two octave), for
+    distributions such as per-sample frontier sizes and sub-millisecond
+    query latencies.
 
 All instruments live in a :class:`MetricsRegistry`.  Registries are
 cheap; one is created per :func:`repro.obs.observe` scope and thrown
@@ -25,14 +27,17 @@ a metric can never perturb an algorithm's random stream.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from math import ceil, ldexp
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "bucket_label",
     "bucket_quantile",
 ]
 
@@ -69,18 +74,55 @@ class Gauge:
         return self.value
 
 
-#: Upper edges of the power-of-two histogram buckets: 1, 2, 4, ... 2^30.
-_BUCKET_EDGES: Tuple[int, ...] = tuple(1 << i for i in range(31))
+#: Upper edges of the log-linear histogram buckets: eight linear
+#: sub-buckets per power-of-two octave, from ``2**-10`` (about 1 µs in a
+#: millisecond histogram) up to ``2**30``. Bucket ``(lower, edge]``
+#: spans at most 1/8 of its lower edge (about 9% averaged over an
+#: octave), so a quantile read from the buckets is that close to the
+#: exact one. Every power of two is an edge.
+_SUB_BUCKETS = 8
+_BUCKET_EDGES: Tuple[float, ...] = (ldexp(1.0, -10),) + tuple(
+    ldexp(_SUB_BUCKETS + j, octave - 3)
+    for octave in range(-10, 30)
+    for j in range(1, _SUB_BUCKETS + 1)
+)
+#: Bucket key per bucket index; the last bucket is the overflow (``-1``).
+_BUCKET_KEYS: Tuple[float, ...] = _BUCKET_EDGES + (-1,)
+#: Bucket index of a value in ``[0, 1]`` by ``ceil(value * 8192)``: every
+#: edge up to 1 is a multiple of ``2**-13``, so no cell
+#: ``((c - 1) / 8192, c / 8192]`` straddles an edge, and a sub-millisecond
+#: latency is placed with one multiply and one tuple lookup.
+_DENSE_SCALE = 8192.0
+_DENSE_INDEX: Tuple[int, ...] = tuple(
+    bisect_left(_BUCKET_EDGES, c / _DENSE_SCALE) for c in range(8193)
+)
+
+
+def bucket_label(edge: float) -> str:
+    """Text form of a bucket edge (snapshot keys, OpenMetrics ``le``).
+
+    Integral edges print without a fraction (``"4"``, ``"-1"`` for the
+    overflow bucket), the rest as the shortest exact decimal
+    (``"0.28125"``), so ``float`` reads every label back exactly.
+    """
+    edge = float(edge)
+    return str(int(edge)) if edge.is_integer() else repr(edge)
+
+
+def _lower_edge(edge: float) -> float:
+    """The lower bound of the bucket whose upper edge is ``edge``."""
+    i = bisect_left(_BUCKET_EDGES, edge)
+    return _BUCKET_EDGES[i - 1] if i > 0 else 0.0
 
 
 def bucket_quantile(
-    buckets: Dict[int, int],
+    buckets: Dict[float, int],
     count: int,
     q: float,
     lo: Optional[float] = None,
     hi: Optional[float] = None,
 ) -> float:
-    """Quantile estimate from power-of-two bucket counts.
+    """Quantile estimate from log-linear bucket counts.
 
     ``buckets`` maps each upper bucket edge to its observation count
     (``-1`` is the overflow bucket); ``count`` is the total. The
@@ -88,9 +130,9 @@ def bucket_quantile(
     ``q * count`` and interpolates linearly between that bucket's lower
     and upper edges (*upper-bound interpolation*: with no information
     about the in-bucket distribution, mass is assumed uniform up to the
-    upper edge, so the estimate is exact to within one power-of-two
-    bucket). ``lo``/``hi`` — the observed min/max, when known — clamp
-    the estimate to the data's actual range.
+    upper edge, so the estimate is exact to within one sub-bucket, at
+    most 1/8 of the value). ``lo``/``hi`` — the observed min/max, when
+    known — clamp the estimate to the data's actual range.
 
     Shared by :meth:`Histogram.quantile` (which clamps to the
     histogram's min/max) and the rolling-window telemetry in
@@ -108,7 +150,7 @@ def bucket_quantile(
         if n <= 0:
             continue
         if cumulative + n >= target:
-            lower = edge / 2.0 if edge > 1 else 0.0
+            lower = _lower_edge(edge)
             within = max(target - cumulative, 0.0) / n
             value = lower + (edge - lower) * within
             if lo is not None:
@@ -119,8 +161,8 @@ def bucket_quantile(
         cumulative += n
     # The rank falls in the overflow bucket, which has no upper edge:
     # interpolate toward the observed max when known, else bound by one
-    # more bucket doubling.
-    lower = float(_BUCKET_EDGES[-1])
+    # more octave.
+    lower = _BUCKET_EDGES[-1]
     upper = float(hi) if hi is not None and hi > lower else lower * 2.0
     n_over = buckets.get(-1, 0)
     if n_over <= 0:
@@ -134,13 +176,15 @@ def bucket_quantile(
     return value
 
 
-@dataclass
+@dataclass(slots=True)
 class Histogram:
-    """Streaming distribution summary with power-of-two buckets.
+    """Streaming distribution summary with log-linear buckets.
 
     Bucket ``i`` counts observations ``v`` with
-    ``edges[i-1] < v <= edges[i]`` (first bucket: ``v <= 1``); values
-    above the last edge land in an overflow bucket.
+    ``edges[i-1] < v <= edges[i]`` (first bucket: ``v <= 2**-10``);
+    values above the last edge land in an overflow bucket. Counts live
+    in one list indexed by bucket, so recording a value is a lookup and
+    an increment; :attr:`buckets` is the sparse ``{edge: count}`` view.
     """
 
     name: str
@@ -148,7 +192,9 @@ class Histogram:
     total: float = 0.0
     min: float = float("inf")
     max: float = float("-inf")
-    buckets: Dict[int, int] = field(default_factory=dict)
+    counts: List[int] = field(
+        default_factory=lambda: [0] * len(_BUCKET_KEYS), repr=False
+    )
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -158,27 +204,36 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        for edge in _BUCKET_EDGES:
-            if value <= edge:
-                self.buckets[edge] = self.buckets.get(edge, 0) + 1
-                return
-        self.buckets[-1] = self.buckets.get(-1, 0) + 1  # overflow
+        if 0.0 <= value <= 1.0:
+            self.counts[_DENSE_INDEX[ceil(value * _DENSE_SCALE)]] += 1
+        else:
+            # Negative values land in the first bucket, NaN and values
+            # past the last edge in the overflow bucket.
+            index = bisect_left(_BUCKET_EDGES, value)
+            self.counts[index if value == value else -1] += 1
 
     def observe_many(self, values) -> None:
         for value in values:
             self.observe(value)
 
     @property
+    def buckets(self) -> Dict[float, int]:
+        """Non-empty buckets as ``{upper edge: count}`` (``-1``: overflow)."""
+        return {
+            _BUCKET_KEYS[i]: n for i, n in enumerate(self.counts) if n
+        }
+
+    @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile from the power-of-two buckets.
+        """Estimate the ``q``-quantile from the log-linear buckets.
 
         Upper-bound bucket interpolation (see :func:`bucket_quantile`),
         clamped to the observed ``[min, max]`` — so the estimate agrees
         with the exact percentile of the recorded values to within one
-        power-of-two bucket. Returns ``nan`` for an empty histogram.
+        sub-bucket. Returns ``nan`` for an empty histogram.
         """
         if not self.count:
             return float("nan")
@@ -190,7 +245,13 @@ class Histogram:
         self, qs: Iterable[float] = (0.5, 0.95, 0.99)
     ) -> Tuple[float, ...]:
         """Several quantile estimates at once (default p50/p95/p99)."""
-        return tuple(self.quantile(q) for q in qs)
+        if not self.count:
+            return tuple(float("nan") for _ in qs)
+        buckets = self.buckets
+        return tuple(
+            bucket_quantile(buckets, self.count, q, lo=self.min, hi=self.max)
+            for q in qs
+        )
 
     def as_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -205,8 +266,18 @@ class Histogram:
             out["p50"] = p50
             out["p95"] = p95
             out["p99"] = p99
-            out["buckets"] = {str(k): v for k, v in sorted(self.buckets.items())}
+            out["buckets"] = {
+                bucket_label(k): v for k, v in sorted(self.buckets.items())
+            }
         return out
+
+    def merge(self, other: "Histogram") -> None:
+        """Fold ``other`` in: summaries combine, buckets add exactly."""
+        self.count += other.count
+        self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
 
 
 Instrument = Union[Counter, Gauge, Histogram]
@@ -301,18 +372,14 @@ class MetricsRegistry:
         """Fold another registry in: counters add, gauges overwrite,
         histograms combine summaries and buckets."""
         for inst in other:
-            if isinstance(inst, Counter):
-                self.counter(inst.name).inc(inst.value)
-            elif isinstance(inst, Gauge):
-                self.gauge(inst.name).set(inst.value)
+            kind = type(inst)
+            mine = self._get(inst.name, kind)
+            if kind is Counter:
+                mine.value += inst.value  # counter values never go negative
+            elif kind is Gauge:
+                mine.value = inst.value
             else:
-                mine = self.histogram(inst.name)
-                mine.count += inst.count
-                mine.total += inst.total
-                mine.min = min(mine.min, inst.min)
-                mine.max = max(mine.max, inst.max)
-                for edge, n in inst.buckets.items():
-                    mine.buckets[edge] = mine.buckets.get(edge, 0) + n
+                mine.merge(inst)
 
     def reset(self) -> None:
         self._instruments.clear()

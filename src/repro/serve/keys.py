@@ -38,8 +38,8 @@ of:
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import json
 from typing import Iterable, NamedTuple, Sequence
 
 from repro.utils.validation import as_target_array
@@ -53,6 +53,29 @@ __all__ = [
 ]
 
 
+#: Bound on the id-set memos below: at most this many sets, each of at
+#: most ``_MEMO_MAX_IDS`` ids, so a memo holds a few MB at worst however
+#: many distinct campaigns arrive.
+_MEMO_ENTRIES = 256
+_MEMO_MAX_IDS = 1024
+
+
+def _memoized(fn, values, *args):
+    """``fn(values, *args)`` through its LRU memo when ``values`` fits.
+
+    The memo is keyed on ``tuple(values)``. Equal keys give equal
+    answers: both memoized functions read each id through ``int``,
+    and ids that compare equal (``1``, ``1.0``, ``True``) convert to
+    the same integer. Unhashable ids and oversized sets bypass it.
+    """
+    if type(values) in (list, tuple) and len(values) <= _MEMO_MAX_IDS:
+        try:
+            return fn(tuple(values), *args)
+        except TypeError:  # an unhashable id: compute it directly
+            pass
+    return fn.__wrapped__(values, *args)
+
+
 def targets_digest(targets: Iterable[int], num_nodes: int) -> str:
     """Collision-resistant digest of a target set.
 
@@ -61,7 +84,17 @@ def targets_digest(targets: Iterable[int], num_nodes: int) -> str:
     canonical sorted-unique ``int64`` array, so the digest is a pure
     function of the target *set*: order and duplicates don't matter,
     any single-node mutation does.
+
+    A list or tuple of ids (what a decoded wire request carries) is
+    digested through a bounded LRU memo, so a repeated campaign skips
+    the validation pass and the hash. Invalid sets raise and are never
+    memoized.
     """
+    return _memoized(_digest, targets, num_nodes)
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _digest(targets: Iterable[int], num_nodes: int) -> str:
     arr = as_target_array(targets, num_nodes, context="targets_digest")
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
@@ -101,23 +134,33 @@ def routing_token(request: dict) -> str:
     requests that would share a cached asset always share a routing
     token — and therefore a worker — while unrelated campaigns spread
     across the ring. Malformed values are kept verbatim: they still
-    route deterministically and fail validation on the worker.
+    route deterministically and fail validation on the worker. Each
+    present field contributes ``name=repr(value)`` in a fixed order.
     """
-    parts: dict = {"op": str(request.get("op", ""))}
+    parts = [str(request.get("op", ""))]
     for field in _ROUTING_FIELDS:
         if field not in request:
             continue
         value = request[field]
         if isinstance(value, (list, tuple)):
             if field in ("targets", "seeds"):
-                try:
-                    value = sorted({int(v) for v in value})
-                except (TypeError, ValueError):
-                    value = list(value)
-            elif field == "tags":
+                parts.append(f"{field}={_memoized(_id_set_text, value)}")
+                continue
+            if field == "tags":
                 value = list(canonical_tags([str(t) for t in value]))
-        parts[field] = value
-    return json.dumps(parts, sort_keys=True, default=str)
+            else:
+                value = list(value)
+        parts.append(f"{field}={value!r}")
+    return "|".join(parts)
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _id_set_text(ids: Sequence) -> str:
+    """Canonical text of a node-id set: sorted unique ints, or verbatim."""
+    try:
+        return repr(sorted(set(map(int, ids))))
+    except (TypeError, ValueError):
+        return repr(list(ids))
 
 
 class AssetKey(NamedTuple):

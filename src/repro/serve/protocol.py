@@ -71,15 +71,22 @@ from __future__ import annotations
 
 import json
 import sys
+from concurrent.futures import Future
 from typing import Any, Callable, IO
 
 from repro.exceptions import QueryRejectedError, ReproError
 
 __all__ = [
-    "execute_request", "handle_line", "handle_request", "serve_stdio", "warm",
+    "execute_request", "handle_line", "handle_request", "serve_stdio",
+    "submit_request", "warm",
 ]
 
 QUERY_OPS = ("find_seeds", "find_tags", "joint", "spread")
+
+#: Failures a request can cause; each becomes an error response.
+_REQUEST_ERRORS = (
+    ReproError, json.JSONDecodeError, KeyError, ValueError, TypeError,
+)
 
 
 def _limit(request: dict) -> int | None:
@@ -185,27 +192,67 @@ def error_response(exc: BaseException) -> dict:
     return {"ok": False, "error": error, "type": type(exc).__name__}
 
 
-def handle_request(server, request: object) -> dict:
-    """Run one decoded request and shape the full response dict.
+def _settle(request_id, result: Callable[[], dict]) -> dict:
+    """The response to one request whose fields ``result()`` returns.
 
-    The dict-level core of :func:`handle_line`, shared by the stdio
-    loop and the shard workers (whose requests arrive over a pipe
-    already decoded). Same guarantee: every failure becomes a
-    well-formed error response.
+    A request failure ``result()`` raises becomes an error response;
+    anything else propagates. The request's ``id`` is echoed either way.
     """
-    request_id = None
     try:
-        if not isinstance(request, dict):
-            raise ReproError("request must be a JSON object")
-        request_id = request.get("id")
-        response: dict[str, Any] = {"ok": True}
-        response.update(execute_request(server, request))
-    except (ReproError, json.JSONDecodeError, KeyError, ValueError,
-            TypeError) as exc:
+        response: dict[str, Any] = {"ok": True, **result()}
+    except _REQUEST_ERRORS as exc:
         response = error_response(exc)
     if request_id is not None:
         response["id"] = request_id
     return response
+
+
+def handle_request(server, request: object) -> dict:
+    """Run one decoded request and shape the full response dict.
+
+    The dict-level core of :func:`handle_line`, shared by the stdio
+    loop and the shard workers' admin ops (whose requests arrive over a
+    pipe already decoded). Same guarantee: every failure becomes a
+    well-formed error response.
+    """
+    if not isinstance(request, dict):
+        return error_response(ReproError("request must be a JSON object"))
+    return _settle(
+        request.get("id"), lambda: execute_request(server, request)
+    )
+
+
+def submit_request(
+    server, request: dict, reply: Callable[[dict], None]
+) -> None:
+    """Admit one decoded query-op request; ``reply`` gets its response.
+
+    The non-blocking form of :func:`handle_request` for a
+    :class:`~repro.serve.CampaignServer`: ``server.submit_query`` parses
+    and queues the query, and ``reply`` runs with the full response dict
+    when it completes, on the server thread that finished it (at once,
+    on the calling thread, if it fails to parse or is refused
+    admission). The response is the one :func:`handle_request` gives,
+    byte for byte; an error :func:`handle_request` would let propagate
+    gets an error reply without the ``id``. A shard worker's receive
+    loop serves its queries through this, so a query crosses one
+    thread hop inside the worker.
+    """
+    request_id = request.get("id")
+    try:
+        future = server.submit_query(request)
+    except Exception as exc:  # the reply carries it, as in ``done``
+        future = Future()
+        future.set_exception(exc)
+
+    def done(finished: Future) -> None:
+        try:
+            response = _settle(request_id, finished.result)
+        except Exception as exc:  # a reply is owed whatever happens
+            response = error_response(exc)
+        reply(response)
+
+    future.add_done_callback(done)
 
 
 def warm(server, requests: list) -> int:

@@ -283,6 +283,10 @@ class _QueryItem:
     #: Quantified-error tag of a degraded answer (``None`` when full);
     #: set by the runner, like the final ``tier``.
     degrade: dict | None = None
+    #: ``None`` resolves the future with the :class:`ServeResponse`; a
+    #: bool resolves it with the wire fields, the bool being the
+    #: request's ``report`` flag (see :meth:`CampaignServer.submit_query`).
+    wire: bool | None = None
 
 
 class CampaignServer:
@@ -414,6 +418,23 @@ class CampaignServer:
             served.enable_probability_cache(prob_cache_entries)
 
         self._qos = qos if qos is not None else QosConfig()
+        # The configs a query can run under are fixed per server, so
+        # their cache-key digests are computed once, not per query.
+        sketch = config.sketch
+        reduced = dc_replace(sketch, theta_max=max(
+            sketch.theta_min,
+            sketch.theta_max // self._qos.degrade_theta_factor,
+        ))
+        self._sketch_tiers = {
+            False: (sketch, config_digest(sketch)),
+            True: (reduced, config_digest(reduced)),
+        }
+        reduced_joint = dc_replace(config, sketch=reduced)
+        self._joint_tiers = {
+            False: (config, config_digest(config)),
+            True: (reduced_joint, config_digest(reduced_joint)),
+        }
+        self._tag_digest = config_digest(config.tag_config)
         self._chaos = chaos
         if (
             chaos is not None
@@ -476,12 +497,13 @@ class CampaignServer:
         self._query_seq = itertools.count(1)
         self._query_local = threading.local()
         # Distributed tracing (repro.obs.distributed). The staged
-        # context hands an inbound TraceContext from query() to _submit
-        # on the same thread; the export ring buffers finished span
-        # bundles for a shard worker loop to piggy-back on replies. The
-        # flight recorder is always on — a qualifying record is one
+        # per-thread request context hands an inbound TraceContext and
+        # the wire ``report`` flag from submit_query() to _submit on the
+        # same thread; the export ring buffers finished span bundles for
+        # a shard worker loop to piggy-back on replies. The flight
+        # recorder is always on — a qualifying record is one
         # lock-append.
-        self._staged_trace = threading.local()
+        self._staged = threading.local()
         self._span_lock = threading.Lock()
         self._span_exports: deque = deque(maxlen=256)
         self._trace_collector = (
@@ -664,10 +686,6 @@ class CampaignServer:
         with self._metrics_lock:
             self._metrics.count(name, amount)
 
-    def _observe_hist(self, name: str, value: float) -> None:
-        with self._metrics_lock:
-            self._metrics.record(name, value)
-
     def _set_gauge(self, name: str, value: float) -> None:
         with self._metrics_lock:
             self._metrics.set_gauge(name, value)
@@ -736,8 +754,7 @@ class CampaignServer:
             self._closed = True
             drained = self._queues.drain()
             self._in_system -= len(drained)
-            self._set_gauge("serve.queue.depth", self._in_system)
-            self._sync_class_depths_locked()
+            self._sync_queue_gauges_locked()
         self._finalize_rejections([
             (item, ServerClosedError("campaign server is closed"))
             for item in drained
@@ -987,9 +1004,13 @@ class CampaignServer:
     # ------------------------------------------------------------------
     # Admission + dispatch
     # ------------------------------------------------------------------
-    def _sync_class_depths_locked(self) -> None:
-        for name, depth in self._queues.depths().items():
-            self._set_gauge(f"serve.queue.depth.{name}", depth)
+    def _sync_queue_gauges_locked(self) -> None:
+        """Publish the queue-depth gauges (caller holds the admission lock)."""
+        depths = self._queues.depths()
+        with self._metrics_lock:
+            self._metrics.set_gauge("serve.queue.depth", self._in_system)
+            for name, depth in depths.items():
+                self._metrics.set_gauge(f"serve.queue.depth.{name}", depth)
 
     def _submit(
         self,
@@ -1021,7 +1042,8 @@ class CampaignServer:
             qid=qid, op=op, runner=runner, future=Future(),
             qos_class=qos_class, tier="full", deadline_s=deadline,
             enqueued_at=started,
-            trace=getattr(self._staged_trace, "ctx", None),
+            trace=getattr(self._staged, "trace", None),
+            wire=getattr(self._staged, "wire", None),
         )
         dequeue_rejects: list = []
         closed = False
@@ -1052,7 +1074,6 @@ class CampaignServer:
                     elif utilization >= self._qos.shed_threshold:
                         item.tier = "approximate"
                 self._in_system += 1
-                self._set_gauge("serve.queue.depth", self._in_system)
                 self._queues.push(qos_class, item)
                 dequeue_rejects = self._pump_locked()
 
@@ -1117,7 +1138,6 @@ class CampaignServer:
             item.queue_wait_s = waited
             if error is not None:
                 self._in_system -= 1
-                self._set_gauge("serve.queue.depth", self._in_system)
                 rejected.append((item, error))
                 continue
             self._dispatched += 1
@@ -1128,12 +1148,11 @@ class CampaignServer:
                 # submit; the shut-down executor then means "closed".
                 self._dispatched -= 1
                 self._in_system -= 1
-                self._set_gauge("serve.queue.depth", self._in_system)
                 rejected.append(
                     (item, ServerClosedError("campaign server is closed"))
                 )
                 break
-        self._sync_class_depths_locked()
+        self._sync_queue_gauges_locked()
         return rejected
 
     def _finalize_rejections(self, rejected: list) -> None:
@@ -1206,12 +1225,14 @@ class CampaignServer:
         )
 
     def _execute_item(self, item: _QueryItem) -> None:
-        response: ServeResponse | None = None
+        response: ServeResponse | dict | None = None
         failure: BaseException | None = None
         started = item.future.set_running_or_notify_cancel()
         if started:
             try:
                 response = self._run_query(item)
+                if item.wire is not None:
+                    response = response.wire_fields(item.wire)
             except BaseException as exc:
                 failure = exc
         # Release this query's slot (and pump the queues) BEFORE
@@ -1220,7 +1241,6 @@ class CampaignServer:
         with self._admission_lock:
             self._dispatched -= 1
             self._in_system -= 1
-            self._set_gauge("serve.queue.depth", self._in_system)
             rejected = self._pump_locked()
         if started:
             try:
@@ -1239,7 +1259,11 @@ class CampaignServer:
         op, runner, qid = item.op, item.runner, item.qid
         with self._admission_lock:
             self._executing += 1
-            self._set_gauge("serve.inflight", self._executing)
+            with self._metrics_lock:
+                self._metrics.set_gauge("serve.inflight", self._executing)
+                self._metrics.record(
+                    "serve.queue.wait_ms", item.queue_wait_s * 1000.0
+                )
         local = self._query_local
         # The runner's helpers read (and the ladder rungs rewrite) this
         # query's class, tier, degrade tag and deadline through it.
@@ -1250,7 +1274,6 @@ class CampaignServer:
         # graph versions.
         local.graph_state = self._graph_state
         query_epoch = local.graph_state[1]
-        self._observe_hist("serve.queue.wait_ms", item.queue_wait_s * 1000.0)
         timer = Timer()
         # Distributed queries run under the router's trace: the
         # propagated trace_id replaces the local qid on spans/events,
@@ -1267,7 +1290,6 @@ class CampaignServer:
                     ob.tracer.parent_span_id = trace_ctx.parent_span_id
                 with obs.span("serve.query", op=op, trace_id=trace_id):
                     value, cache_mode = runner(ob)
-                report = ob.report()
         except QueryRejectedError as exc:
             # Clean in-execution rejections (shed ladder exhausted,
             # breaker fast-fail) — counted as rejections, not errors.
@@ -1298,14 +1320,23 @@ class CampaignServer:
                 self._set_gauge("serve.inflight", self._executing)
         elapsed_ms = timer.elapsed * 1000.0
         final_tier, degrade_info = item.tier, item.degrade
-        self._record("serve.queries")
-        self._record(f"serve.queries.{item.qos_class}")
-        if final_tier != "full":
-            self._record("serve.degraded")
-            self._record(f"serve.degraded.{final_tier}")
-        self._observe_hist("serve.query.latency_ms", elapsed_ms)
-        self._observe_hist(f"serve.op.latency_ms.{op}", elapsed_ms)
+        with self._metrics_lock:
+            metrics = self._metrics
+            metrics.count("serve.queries")
+            metrics.count(f"serve.queries.{item.qos_class}")
+            if final_tier != "full":
+                metrics.count("serve.degraded")
+                metrics.count(f"serve.degraded.{final_tier}")
+            metrics.record("serve.query.latency_ms", elapsed_ms)
+            metrics.record(f"serve.op.latency_ms.{op}", elapsed_ms)
         self._predictor.observe(op, elapsed_ms)
+        traced = trace_ctx is not None or self._trace_collector is not None
+        # A wire reply without ``report: true`` never reads the report,
+        # so an untraced one skips building it; the Python API always
+        # gets it.
+        report = (
+            ob.report() if traced or item.wire is not False else None
+        )
         # Ship / store the finished spans. Both paths are post-answer
         # bookkeeping: they cannot influence the value, counters, or
         # even timing recorded above.
@@ -1322,7 +1353,6 @@ class CampaignServer:
                 span_bundle_from_tracer(ob.tracer),
                 pid=self._trace_collector.pid,
             )
-        traced = trace_ctx is not None or self._trace_collector is not None
         self._flight(
             item, "ok", timer.elapsed, tier=final_tier, cache=cache_mode,
             epoch=query_epoch, degraded=degrade_info,
@@ -1400,7 +1430,7 @@ class CampaignServer:
         return self._query_local.item.tier
 
     def _sketch_config(self):
-        """The sketch config for this query's tier.
+        """``(sketch config, its digest)`` for this query's tier.
 
         ``approximate``-tier queries run with ``theta_max`` divided by
         the QoS ``degrade_theta_factor`` (floored at ``theta_min``);
@@ -1409,13 +1439,7 @@ class CampaignServer:
         degraded answer can never be served as a full one (or vice
         versa).
         """
-        cfg = self._config.sketch
-        if self._current_tier() != "approximate":
-            return cfg
-        factor = self._qos.degrade_theta_factor
-        return dc_replace(
-            cfg, theta_max=max(cfg.theta_min, cfg.theta_max // factor)
-        )
+        return self._sketch_tiers[self._current_tier() == "approximate"]
 
     def _note_sketch_degrade(self, sketch, cfg) -> None:
         """Tag this query with its approximate-tier error contract.
@@ -1598,10 +1622,21 @@ class CampaignServer:
         """Run one decoded query-op request (blocking); return its wire fields.
 
         The protocol's query entry point (the shard router's is its
-        ``query`` too): parses the request fields, submits the op and
-        shapes the answer. A propagated trace context (the private
-        ``"_trace"`` key) is stripped first and attached to the
-        submitted query, so its spans root under the remote parent.
+        ``query`` too): the blocking wrapper over :meth:`submit_query`.
+        """
+        return self.submit_query(request).result()
+
+    def submit_query(self, request: dict) -> "Future[dict]":
+        """Parse and admit one decoded query-op request without blocking.
+
+        The future yields the response's wire fields (see
+        :meth:`ServeResponse.wire_fields`; ``"report": true`` inlines
+        the report) or raises the query's error. Parse and admission
+        errors raise here, before anything is queued. A propagated
+        trace context (the private ``"_trace"`` key) is stripped first
+        and attached to the submitted query, so its spans root under
+        the remote parent. A shard worker submits every query op
+        through this and replies from the future's completion.
         """
         trace = TraceContext.pop_from(request)
         op = request.get("op")
@@ -1621,10 +1656,12 @@ class CampaignServer:
         }
         # _submit (same thread) reads the staged context; the finally
         # keeps it from leaking into the thread's next query.
-        self._staged_trace.ctx = trace
+        staged = self._staged
+        staged.trace = trace
+        staged.wire = bool(request.get("report"))
         try:
             if op == "find_seeds":
-                response = self.find_seeds(
+                return self.submit_find_seeds(
                     targets=request["targets"],
                     tags=request.get("tags", ()),
                     k=int(request["k"]),
@@ -1632,32 +1669,30 @@ class CampaignServer:
                     num_samples=int(request.get("num_samples", 100)),
                     **common,
                 )
-            elif op == "find_tags":
-                response = self.find_tags(
+            if op == "find_tags":
+                return self.submit_find_tags(
                     seeds=request["seeds"],
                     targets=request["targets"],
                     r=int(request["r"]),
                     method=request.get("method"),
                     **common,
                 )
-            elif op == "joint":
-                response = self.jointly_select(
+            if op == "joint":
+                return self.submit_jointly_select(
                     targets=request["targets"],
                     k=int(request["k"]),
                     r=int(request["r"]),
                     **common,
                 )
-            else:
-                response = self.estimate_spread(
-                    seeds=request["seeds"],
-                    targets=request["targets"],
-                    tags=request.get("tags", ()),
-                    num_samples=request.get("num_samples"),
-                    **common,
-                )
+            return self.submit_estimate_spread(
+                seeds=request["seeds"],
+                targets=request["targets"],
+                tags=request.get("tags", ()),
+                num_samples=request.get("num_samples"),
+                **common,
+            )
         finally:
-            self._staged_trace.ctx = None
-        return response.wire_fields(bool(request.get("report")))
+            staged.trace = staged.wire = None
 
     def find_seeds(self, *args, **kwargs) -> ServeResponse:
         """Top-``k`` seed selection (blocking). See :meth:`submit_find_seeds`."""
@@ -1710,7 +1745,7 @@ class CampaignServer:
             )
         tags_c = canonical_tags(tags)
         tdigest = targets_digest(targets, self._graph.num_nodes)
-        targets = tuple(int(t) for t in targets)
+        targets = tuple(map(int, targets))
 
         def runner(ob):
             budget = self._budget(deadline, max_samples, max_rr_members)
@@ -1732,12 +1767,12 @@ class CampaignServer:
     ) -> tuple[SeedSelection, str]:
         """TRS path: cache the sketch; its cover is memoized on first read."""
         tier = self._current_tier()
-        cfg = self._sketch_config()
+        cfg, digest = self._sketch_config()
         key = AssetKey(
             kind="trs_sketch",
             targets_digest=tdigest,
             tags=tags_c,
-            params=(k, seed, config_digest(cfg)),
+            params=(k, seed, digest),
             epoch=self._query_epoch(),
         )
         if tier == "stale_only":
@@ -1843,15 +1878,12 @@ class CampaignServer:
         budget,
     ) -> tuple[SeedSelection, str]:
         """Non-TRS engines: cache the whole (deterministic) result."""
-        cfg = self._sketch_config()
+        cfg, digest = self._sketch_config()
         key = AssetKey(
             kind="result",
             targets_digest=tdigest,
             tags=tags_c,
-            params=(
-                "find_seeds", engine, k, seed, num_samples,
-                config_digest(cfg),
-            ),
+            params=("find_seeds", engine, k, seed, num_samples, digest),
             epoch=self._query_epoch(),
         )
 
@@ -1914,7 +1946,7 @@ class CampaignServer:
             )
         seeds_c = tuple(sorted({int(s) for s in seeds}))
         tdigest = targets_digest(targets, self._graph.num_nodes)
-        targets = tuple(int(t) for t in targets)
+        targets = tuple(map(int, targets))
 
         def runner(ob):
             # The key is built on the worker, not at submit time: the
@@ -1925,8 +1957,7 @@ class CampaignServer:
                 targets_digest=tdigest,
                 tags=(),
                 params=(
-                    "find_tags", method, r, seed, seeds_c,
-                    config_digest(self._config.tag_config),
+                    "find_tags", method, r, seed, seeds_c, self._tag_digest,
                 ),
                 epoch=self._query_epoch(),
             )
@@ -1967,21 +1998,18 @@ class CampaignServer:
         results never collide.
         """
         tdigest = targets_digest(targets, self._graph.num_nodes)
-        targets = tuple(int(t) for t in targets)
+        targets = tuple(map(int, targets))
 
         def runner(ob):
             budget = self._budget(deadline, max_samples, max_rr_members)
-            cfg_sketch = self._sketch_config()
-            joint_config = (
-                self._config
-                if cfg_sketch is self._config.sketch
-                else dc_replace(self._config, sketch=cfg_sketch)
-            )
+            joint_config, digest = self._joint_tiers[
+                self._current_tier() == "approximate"
+            ]
             key = AssetKey(
                 kind="result",
                 targets_digest=tdigest,
                 tags=(),
-                params=("joint", k, r, seed, config_digest(joint_config)),
+                params=("joint", k, r, seed, digest),
                 epoch=self._query_epoch(),
             )
 
@@ -1997,7 +2025,7 @@ class CampaignServer:
 
             answer = self._cached(ob, key, build)
             if joint_config is not self._config:
-                self._note_reduced_theta(cfg_sketch)
+                self._note_reduced_theta(joint_config.sketch)
             return answer
 
         return self._submit(
@@ -2029,7 +2057,7 @@ class CampaignServer:
             else self._config.eval_samples
         )
         tdigest = targets_digest(targets, self._graph.num_nodes)
-        targets = tuple(int(t) for t in targets)
+        targets = tuple(map(int, targets))
         num_targets = len(set(targets))
 
         def runner(ob):

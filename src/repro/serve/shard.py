@@ -118,7 +118,12 @@ from repro.obs.distributed import (
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.cache import CacheStats
 from repro.serve.keys import routing_token
-from repro.serve.protocol import QUERY_OPS, error_response, handle_request
+from repro.serve.protocol import (
+    QUERY_OPS,
+    error_response,
+    handle_request,
+    submit_request,
+)
 from repro.serve.qos import RouterAdmission
 from repro.serve.ring import HashRing
 
@@ -157,6 +162,7 @@ class WorkerSpec:
     mutable: bool = False
     repair_mode: str = "scalar"
     listen: bool = False  # per-worker OpenMetrics endpoint on 127.0.0.1:0
+    retry_policy: Any = None  # RetryPolicy | None, for the worker's engine
 
 
 # ----------------------------------------------------------------------
@@ -297,9 +303,8 @@ def _worker_main(conn, worker_id: str, graph_payload, spec: WorkerSpec):
     """Entry point of one spawned worker process.
 
     Handshakes readiness (or the construction error) on the pipe, then
-    serves rid-tagged requests until ``_shard.shutdown`` or pipe EOF.
-    Requests run on an internal thread pool so queries pipeline the
-    same way they do inside a single-process ``CampaignServer``.
+    serves rid-tagged requests until ``_shard.shutdown`` or pipe EOF
+    (see :func:`_serve_conn` for the threading model).
     """
     import signal
 
@@ -314,7 +319,10 @@ def _worker_main(conn, worker_id: str, graph_payload, spec: WorkerSpec):
         if spec.engine_mode is not None:
             from repro.engine.parallel import SamplingEngine
 
-            sampler = SamplingEngine(mode=spec.engine_mode, workers=1)
+            sampler = SamplingEngine(
+                mode=spec.engine_mode, workers=1,
+                retry_policy=spec.retry_policy,
+            )
         from repro.core.joint import JointConfig
         from repro.serve.server import CampaignServer
 
@@ -377,6 +385,16 @@ def _worker_main(conn, worker_id: str, graph_payload, spec: WorkerSpec):
 
 
 def _serve_conn(conn, server, sampler, spec: WorkerSpec) -> None:
+    """Serve the pipe until ``_shard.shutdown`` or EOF.
+
+    Threading model: this receive thread never blocks on a request.
+    A query op is admitted straight into the ``CampaignServer``'s
+    class queues (:func:`~repro.serve.protocol.submit_request`), and
+    the server thread that completes it sends the reply, so a query
+    crosses one thread hop in the worker. Every other op (admin and
+    ``_shard.*``) runs on a small pool, so a slow ``apply_edits`` or
+    scatter build never holds up the receive loop.
+    """
     from repro import obs
     from repro.obs.distributed import span_bundle_from_tracer
 
@@ -392,9 +410,10 @@ def _serve_conn(conn, server, sampler, spec: WorkerSpec) -> None:
         spans = server.drain_span_exports()
         if spans:
             payload = {**payload, SPAN_BUNDLE_KEY: spans}
+        payload["_rid"] = rid
         with send_lock:
             try:
-                conn.send({"_rid": rid, **payload})
+                conn.send(payload)
             except (OSError, BrokenPipeError, ValueError):
                 stop.set()
 
@@ -430,9 +449,9 @@ def _serve_conn(conn, server, sampler, spec: WorkerSpec) -> None:
             payload = error_response(exc)
         reply(rid, payload)
 
-    workers = max(int(spec.pool_size), 1) + 2  # queries + admin headroom
+    workers = max(int(spec.pool_size), 1) + 2  # scatter + admin headroom
     with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="shard-worker"
+        max_workers=workers, thread_name_prefix="shard-admin"
     ) as pool:
         while not stop.is_set():
             try:
@@ -442,10 +461,16 @@ def _serve_conn(conn, server, sampler, spec: WorkerSpec) -> None:
             if not isinstance(msg, dict):
                 continue
             rid = msg.pop("_rid", None)
-            if msg.get("op") == "_shard.shutdown":
+            op = msg.get("op")
+            if op == "_shard.shutdown":
                 reply(rid, {"ok": True})
                 break
-            pool.submit(handle, rid, msg)
+            if op in QUERY_OPS:
+                submit_request(
+                    server, msg, lambda payload, rid=rid: reply(rid, payload)
+                )
+            else:
+                pool.submit(handle, rid, msg)
 
 
 # ----------------------------------------------------------------------
@@ -788,6 +813,8 @@ class ShardedCampaignService:
             worker.outstanding[rid] = pending
             pending.conn = worker.conn
             try:
+                # The one copy per send: the caller's payload is kept
+                # as is for a replay, and the pipe message adds the rid.
                 worker.conn.send({**pending.payload, "_rid": rid})
             except (OSError, BrokenPipeError, ValueError):
                 # The receiver thread sees the same broken pipe and runs
@@ -800,7 +827,7 @@ class ShardedCampaignService:
         if self._closed:
             raise ServerClosedError("sharded service is closed")
         rid = next(self._rids)
-        pending = _Pending(Future(), dict(payload), retryable)
+        pending = _Pending(Future(), payload, retryable)
         self._count("router.dispatched")
         self._send(worker, rid, pending)
         return pending.future

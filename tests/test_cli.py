@@ -132,9 +132,7 @@ class TestServeRuntimeFlags:
         (["--checkpoint-dir", "ckpt"], "--checkpoint-dir"),
         (["--checkpoint-dir", "ckpt", "--resume"], "--checkpoint-dir"),
         (["--resume"], "--resume"),
-        (["--workers", "2", "--retries", "3"], "--retries"),
-    ], ids=["checkpoint-dir", "checkpoint-dir-resume", "resume",
-            "workers-retries"])
+    ], ids=["checkpoint-dir", "checkpoint-dir-resume", "resume"])
     def test_rejected_with_usage_error(
         self, workspace, capsys, tmp_path, extra, flag
     ):
@@ -165,6 +163,43 @@ class TestServeRuntimeFlags:
         assert main(["serve", str(graph_path), "--retries", "3"]) == 0
         reply = json.loads(capsys.readouterr().out.splitlines()[0])
         assert reply["ok"] and len(reply["seeds"]) == 2
+
+    def test_fleet_retries_answer_like_single_process(
+        self, workspace, capsys, monkeypatch
+    ):
+        """``--retries`` reaches every fleet worker's engine, so a fleet
+        answers exactly as the single-process server does."""
+        import io
+        import json
+        import sys
+
+        graph_path, targets_path = workspace
+        graph = load_tag_graph(graph_path)
+        targets = [
+            int(x) for x in targets_path.read_text().split() if x.strip()
+        ]
+        tags = list(graph.tags[:3])
+        script = "".join(json.dumps(r) + "\n" for r in [
+            {"id": 1, "op": "find_seeds", "targets": targets, "tags": tags,
+             "k": 2, "engine": "trs", "seed": 0},
+            {"id": 2, "op": "spread", "seeds": [0, 1], "targets": targets,
+             "tags": tags, "num_samples": 64, "seed": 3},
+            {"id": 3, "op": "find_seeds", "targets": targets, "tags": tags,
+             "k": 2, "engine": "trs", "seed": 0},
+        ])
+
+        def answers(*extra):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(script))
+            assert main(["serve", str(graph_path), "--retries", "2",
+                         *extra]) == 0
+            replies = [json.loads(line)
+                       for line in capsys.readouterr().out.splitlines()]
+            for reply in replies:
+                assert reply["ok"], reply
+                reply.pop("elapsed_ms")
+            return replies
+
+        assert answers("--workers", "2") == answers()
 
 
 class TestTagsCommand:

@@ -88,10 +88,10 @@ class TestMetricsRegistry:
         h.observe_many([1, 2, 3, 1000, 2**40])
         assert h.count == 5
         assert h.min == 1 and h.max == 2**40
-        assert h.buckets[1] == 1          # v <= 1
-        assert h.buckets[2] == 1          # 1 < v <= 2
-        assert h.buckets[4] == 1
-        assert h.buckets[1024] == 1
+        assert h.buckets[1] == 1          # 0.875 < v <= 1
+        assert h.buckets[2] == 1          # 1.875 < v <= 2
+        assert h.buckets[3] == 1          # 2.75 < v <= 3 (log-linear)
+        assert h.buckets[1024] == 1       # 960 < v <= 1024
         assert h.buckets[-1] == 1         # overflow
         assert h.mean == pytest.approx(h.total / 5)
 
