@@ -19,7 +19,10 @@ A fourth measurement times **incremental sketch repair** against a cold
 rebuild after a sparse edit batch (see ``docs/mutability.md``), once per
 repair mode; the speedups are reported as ``incremental_repair_speedup``
 (scalar) and ``incremental_repair_bitparallel_speedup`` and both are
-gated.
+gated. A multi-sketch leg (``incremental_repair_multi``) repairs four
+bit-parallel sketches with distinct tag sets after the same batch in
+one kernel pass, checked bit-identical against their cold rebuilds and
+timed against one repair per sketch.
 
 Timings use interleaved min-of-repeats: each repeat cycles through all
 three variants back-to-back, and the minimum per variant is reported.
@@ -54,7 +57,11 @@ from repro.datasets import bfs_targets, twitter, yelp
 from repro.diffusion import simulate_cascade
 from repro.engine import SamplingEngine, shared_csr
 from repro.graphs.mutable import MutableTagGraph, TagSet
-from repro.sketch import build_repairable_sketch, reverse_reachable_set
+from repro.sketch import (
+    build_repairable_sketch,
+    repair_sketches,
+    reverse_reachable_set,
+)
 from repro.sketch.incremental import REPAIR_MODES
 
 #: (label, factory, scale) — ordered smallest to largest; the *last*
@@ -201,6 +208,37 @@ def bench_config(
     return result
 
 
+def _sparse_batch(graph, sketch, tag: str, count: int) -> list[TagSet]:
+    """A realistic sparse batch of ``count`` probability updates.
+
+    Perturbs ``tag``'s probability on edges of *median* touch count
+    among those whose destination appears in at least one stored RR
+    set of ``sketch``. Zero-touch edits make repair a no-op (an
+    unmeasurable "speedup"); hub edits dirty everything and degrade
+    repair to rebuild-equivalent work. The median is the sparse case
+    the gate advertises.
+    """
+    edge_ids, tag_probs = graph.tag_edges(tag)
+    candidates = edge_ids[:512]
+    touch_costs = np.asarray([
+        sketch.dirty_set_ids(np.asarray([graph.dst[e]])).size
+        for e in candidates
+    ])
+    touched = np.flatnonzero(touch_costs > 0)
+    if touched.size < count:
+        raise RuntimeError(
+            f"only {touched.size} of {candidates.size} candidate edges "
+            "touch any RR set — graph too small for the repair benchmark"
+        )
+    order = touched[np.argsort(touch_costs[touched], kind="stable")]
+    mid = max(0, order.size // 2 - count // 2)
+    prob_of = {int(e): float(p) for e, p in zip(edge_ids, tag_probs)}
+    return [
+        TagSet(edge_id=e, tag=tag, prob=max(0.01, prob_of[e] * 0.5))
+        for e in (int(candidates[i]) for i in order[mid:mid + count])
+    ]
+
+
 def bench_repair(
     label: str,
     factory,
@@ -208,6 +246,7 @@ def bench_repair(
     theta: int,
     repeats: int,
     num_edits: int = 8,
+    num_sketches: int = 4,
 ) -> dict[str, dict]:
     """Incremental sketch repair vs cold rebuild on a sparse edit batch.
 
@@ -218,7 +257,11 @@ def bench_repair(
     ``cold_rebuild`` with the same interleaved min-of-repeats
     discipline as the kernel legs. The two are bit-identical by
     contract; the benchmark re-checks that and records it, so the gate
-    can refuse a "fast" repair that diverged. Returns one leg per mode.
+    can refuse a "fast" repair that diverged. Returns one leg per mode,
+    plus a ``multi`` leg: ``num_sketches`` bit-parallel sketches with
+    distinct tag sets repaired after the same batch by one
+    :func:`~repro.sketch.repair_sketches` call (one kernel pass), timed
+    against one ``repair`` per sketch and against their cold rebuilds.
     """
     data = factory(scale=scale)
     graph = data.graph
@@ -232,36 +275,12 @@ def bench_repair(
         for mode in REPAIR_MODES
     }
 
-    # A realistic sparse batch: perturb tag probabilities on edges of
-    # *median* touch count among those whose destination appears in at
-    # least one stored RR set of the scalar sketch. Zero-touch edits
-    # make repair a no-op (an unmeasurable "speedup"); hub edits dirty
-    # everything and degrade repair to rebuild-equivalent work. The
-    # median is the sparse case the gate advertises. Every mode repairs
-    # the same batch.
+    # Every mode repairs the same batch.
     tag0 = tags[0]
-    edge_ids, tag_probs = graph.tag_edges(tag0)
-    candidates = edge_ids[:512]
-    touch_costs = np.asarray([
-        sketches["scalar"].dirty_set_ids(np.asarray([graph.dst[e]])).size
-        for e in candidates
-    ])
-    touched = np.flatnonzero(touch_costs > 0)
-    if touched.size < num_edits:
-        raise RuntimeError(
-            f"only {touched.size} of {candidates.size} candidate edges "
-            "touch any RR set — graph too small for the repair benchmark"
-        )
-    order = touched[np.argsort(touch_costs[touched], kind="stable")]
-    mid = max(0, order.size // 2 - num_edits // 2)
-    chosen = [int(candidates[i]) for i in order[mid:mid + num_edits]]
-    prob_of = {int(e): float(p) for e, p in zip(edge_ids, tag_probs)}
-
+    batch = _sparse_batch(graph, sketches["scalar"], tag0, num_edits)
+    chosen = [edit.edge_id for edit in batch]
     mutable = MutableTagGraph(graph)
-    mutable.apply([
-        TagSet(edge_id=e, tag=tag0, prob=max(0.01, prob_of[e] * 0.5))
-        for e in chosen
-    ])
+    mutable.apply(batch)
     snap = mutable.snapshot()
     new_probs = snap.edge_probabilities(tags)
     dirty_edges = mutable.dirty_edges(0)
@@ -302,6 +321,70 @@ def bench_repair(
             "speedup": round(times["cold_rebuild"] / times["repair"], 2),
             "bit_identical": bit_identical,
         }
+
+    # Multi-sketch leg: the bit-parallel sketch above plus sketches on
+    # disjoint tag sets, and one batch with a sparse share per sketch
+    # (touch traces are node-based, so each share may dirty them all).
+    tag_sets = [tags] + [
+        list(graph.tags[5 + 3 * i:8 + 3 * i]) for i in range(num_sketches - 1)
+    ]
+    multi = [sketches["bitparallel"]] + [
+        build_repairable_sketch(
+            graph, targets, graph.edge_probabilities(t), theta, seed=i,
+            mode="bitparallel",
+        )
+        for i, t in enumerate(tag_sets[1:], start=1)
+    ]
+    batch = {}
+    for sketch, t in zip(multi, tag_sets):
+        for edit in _sparse_batch(graph, sketch, t[0], num_edits // 2):
+            batch.setdefault(edit.edge_id, edit)
+    mutable = MutableTagGraph(graph)
+    mutable.apply(list(batch.values()))
+    snap = mutable.snapshot()
+    dirty_edges = mutable.dirty_edges(0)
+    items = [
+        (sketch, snap.edge_probabilities(t), None)
+        for sketch, t in zip(multi, tag_sets)
+    ]
+    results = repair_sketches(snap, dirty_edges, items)
+    bit_identical = True
+    for (sketch, probs, _ids), (repaired, _stats) in zip(items, results):
+        rebuilt = sketch.cold_rebuild(snap, probs)
+        bit_identical = bit_identical and bool(
+            np.array_equal(repaired.rr.indptr, rebuilt.rr.indptr)
+            and np.array_equal(repaired.rr.members, rebuilt.rr.members)
+        )
+    times = _interleaved_min(
+        {
+            "repair": lambda: repair_sketches(snap, dirty_edges, items),
+            "per_sketch": lambda: [
+                s.repair(snap, p, dirty_edges) for s, p, _ids in items
+            ],
+            "cold_rebuild": lambda: [
+                s.cold_rebuild(snap, p) for s, p, _ids in items
+            ],
+        },
+        repeats,
+    )
+    dirty_sets = [int(stats["dirty_sets"]) for _sketch, stats in results]
+    legs["multi"] = {
+        "config": label,
+        "mode": "bitparallel",
+        "sketches": len(multi),
+        "theta": theta,
+        "edits": len(batch),
+        "dirty_edges": int(dirty_edges.size),
+        "dirty_edge_fraction": round(dirty_edges.size / graph.num_edges, 4),
+        "dirty_sets": sum(dirty_sets),
+        "dirty_sets_per_sketch": dirty_sets,
+        "repair_s": times["repair"],
+        "per_sketch_repair_s": times["per_sketch"],
+        "cold_rebuild_s": times["cold_rebuild"],
+        "speedup": round(times["cold_rebuild"] / times["repair"], 2),
+        "one_pass_speedup": round(times["per_sketch"] / times["repair"], 2),
+        "bit_identical": bit_identical,
+    }
     return legs
 
 
@@ -386,6 +469,8 @@ def main(argv=None) -> int:
         "incremental_repair_bitparallel_speedup": (
             repair_legs["bitparallel"]["speedup"]
         ),
+        "incremental_repair_multi": repair_legs["multi"],
+        "incremental_repair_multi_speedup": repair_legs["multi"]["speedup"],
         "results": results,
     }
     out_path = Path(args.output)
@@ -418,8 +503,12 @@ def main(argv=None) -> int:
         f"{report['rr_bitparallel_geomean_speedup']:.2f}x"
     )
     for repair in repair_legs.values():
+        what = (
+            f"{repair['sketches']}-sketch one-pass"
+            if "sketches" in repair else repair["mode"]
+        )
         print(
-            f"incremental {repair['mode']} repair ({repair['config']}): "
+            f"incremental {what} repair ({repair['config']}): "
             f"{repair['speedup']:.2f}x over cold rebuild — "
             f"{repair['dirty_sets']}/{repair['theta']} sets dirty from "
             f"{repair['edits']} edits "

@@ -21,6 +21,12 @@ TRS ``find_seeds`` read through the wire protocol (``handle_line``):
 against an in-process ``CampaignServer`` and through a 1-worker
 ``ShardedCampaignService``. A hit does no cover work, so both measure
 the serving plumbing around a memoized lookup.
+
+``test_micro_edit_batch`` times one in-process ``apply_edits`` on the
+shape of the ``edit-fleet`` benchmark workload (twitter-1.0, 12
+resident bit-parallel repairable campaigns, 2-edit batches on target
+in-edges): the snapshot, the asset triage and the one-pass repair of
+every dirty sketch, without the fleet's pipes.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from repro.core.joint import JointConfig
 from repro.datasets import bfs_targets
 from repro.diffusion import simulate_cascade
 from repro.engine import SamplingEngine
+from repro.graphs import MutableTagGraph, TagSet
 from repro.index import make_lltrs_manager, make_ltrs_manager, theta_c
 from repro.index.itrs import sample_indexed_rr_sets
 from repro.serve import CampaignServer, ShardedCampaignService, WorkerSpec
@@ -275,3 +282,51 @@ def test_micro_fleet_read(benchmark):
         assert handle_line(service, line)["cache"] == "miss"
         reply = benchmark(handle_line, service, line)
     assert reply["ok"] and reply["cache"] == "hit"
+
+
+def _ball(graph, root: int, size: int) -> list[int]:
+    """``size`` nodes around ``root`` by undirected BFS (a local campaign)."""
+    seen = [root]
+    for node in seen:
+        for nb in np.concatenate(
+            [graph.out_neighbors(node), graph.in_neighbors(node)]
+        ).tolist():
+            if len(seen) < size and nb not in seen:
+                seen.append(nb)
+    return sorted(seen)
+
+
+def test_micro_edit_batch(benchmark):
+    """One 2-edit batch against 12 resident repairable campaigns."""
+    graph = dataset("twitter", scale=1.0).graph
+    rng = np.random.default_rng(9)
+    campaigns = [
+        (
+            _ball(graph, int(rng.integers(graph.num_nodes)), 40),
+            sorted(str(t) for t in rng.choice(graph.tags, 3, replace=False)),
+        )
+        for _ in range(12)
+    ]
+
+    def batch():
+        edits = []
+        while len(edits) < 2:
+            targets, tags = campaigns[int(rng.integers(len(campaigns)))]
+            in_edges = graph.in_edge_ids(int(rng.choice(targets)))
+            if in_edges.size:
+                edits.append(TagSet(
+                    edge_id=int(rng.choice(in_edges)),
+                    tag=str(rng.choice(tags)),
+                    prob=float(rng.uniform(0.05, 0.3)),
+                ))
+        return server.apply_edits(edits)
+
+    with SamplingEngine(mode="bitparallel", workers=1) as engine:
+        with CampaignServer(
+            MutableTagGraph(graph), config=_HIT_CONFIG, sampler=engine,
+            pool_size=1, repair_mode="bitparallel",
+        ) as server:
+            for seed, (targets, tags) in enumerate(campaigns):
+                server.find_seeds(targets, tags, 8, engine="trs", seed=seed)
+            summary = benchmark(batch)
+    assert summary["assets"]["repaired"] >= 1

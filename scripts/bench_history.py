@@ -83,6 +83,12 @@ def _summarize_engine(payload: dict) -> dict:
         "incremental_repair_bitparallel_speedup": payload.get(
             "incremental_repair_bitparallel_speedup"
         ),
+        "incremental_repair_multi_speedup": payload.get(
+            "incremental_repair_multi_speedup"
+        ),
+        "incremental_repair_multi_one_pass_speedup": (
+            payload.get("incremental_repair_multi") or {}
+        ).get("one_pass_speedup"),
     }
 
 

@@ -12,7 +12,9 @@ Coin model
 ----------
 Edge coins are *counter-based*: world ``(block, lane)`` decides edge
 ``e`` by hashing ``((block * m + e) << 6) | lane`` with a SplitMix64
-finalizer keyed by a per-shard stream key. The comparison
+finalizer keyed by a per-shard stream key (``block`` is shard-local,
+and ``m`` is the stream's edge stride: the edge count, or a repairable
+sketch's frozen edge capacity). The comparison
 ``(hash >> 11) < ceil(p * 2**53)`` is exactly equivalent to drawing a
 53-bit uniform float ``u`` and testing ``u < p`` (including ``p == 1``),
 so every coin is a pure function of ``(key, block, edge, lane)``. That
@@ -50,16 +52,24 @@ coins only for the uncovered edges. :func:`transpose_bits64` turns 64
 lanes' packed world rows into those per-edge words.
 
 Because every coin is a pure function of its world, any subset of a
-shard's samples can be replayed in the worlds it was first drawn in:
-:func:`bit_rr_replay` does that over shared pre-gathers
-(:class:`RRGather`), and :func:`bit_rr_members` is the replay of every
-sample. Incremental sketch repair replays just the dirty samples.
+shard's samples can be replayed in the worlds it was first drawn in,
+and the lanes of several shards can share one traversal: the level
+loop looks each 64-lane block's key, counter base (its shard-local id
+times its stream's edge stride) and live-CSR row up per block.
+:func:`bit_rr_pass` runs any set of streams (:class:`RRStream`, one
+shard each) over shared pre-gathers (:class:`RRGather`);
+:func:`bit_rr_replay` is its one-stream case and :func:`bit_rr_members`
+the replay of every sample. Incremental sketch repair replays the
+dirty samples of every dirty sketch of an edit batch in one pass.
 
 :func:`bitparallel_rr_members` and :func:`bitparallel_cascade_counts`
 are the graph-level fronts the sampling engine calls per shard.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -207,53 +217,47 @@ def _block_batches(num_blocks: int, num_nodes: int) -> list[tuple[int, int]]:
     ]
 
 
-_I32_MAX = (1 << 31) - 1
-
-
 def _bit_rr_block_range(
-    num_nodes: int,
-    block_stride: np.uint64,
-    rev_indptr: np.ndarray,
-    rev_parent: np.ndarray,
-    rev_thr: np.ndarray,
-    rev_ctr: np.ndarray,
-    slot_lo: int,
+    gather: "RRGather",
+    mat: "_BlockMaterial",
     slots: np.ndarray,
     slot_roots: np.ndarray,
-    key: np.uint64,
-    node_bits: int,
-    pack_dtype: type,
     slot_chunks: list[np.ndarray],
     node_chunks: list[np.ndarray],
-    rev_col: np.ndarray | None = None,
     forced: np.ndarray | None = None,
 ) -> None:
     """Reverse-BFS the slots of one block range; append (slot, node) pairs.
 
-    ``slots`` is any ascending subset of the range's slots (the slots
-    left out are ghost lanes that never get a bit). The frontier is a
-    pair of (slot, node) arrays — slots carry their global 64-world
-    coordinates so coin counters are batch-invariant — while the
-    visited state is one uint64 lane-mask per (block, node).
-    Each level gathers the in-edges of every frontier pair, draws the
-    pair's single lane coin, masks out already-visited worlds, and
-    canonicalizes survivors via one packed ``(block, node, lane)`` sort
-    that deduplicates, groups the visited-OR scatter, and fixes the
-    emission order in a single pass.
+    ``slots`` are ascending fused slots (``64 * block + lane``) of a
+    contiguous range of the pass's blocks; a block's lanes left out are
+    ghost lanes that never get a bit. The frontier is a pair of (slot,
+    node) arrays, while the visited state is one uint64 lane-mask per
+    (block, node). Coin material (counter base, key, threshold row) is
+    looked up per block through ``mat``, so one traversal serves the
+    blocks of several streams and every coin stays a pure function of
+    its stream's world. Each level gathers the in-edges of every
+    frontier pair, draws the pair's single lane coin, masks out
+    already-visited worlds, and canonicalizes survivors via one packed
+    ``(block, node, lane)`` sort that deduplicates, groups the
+    visited-OR scatter, and fixes the emission order in a single pass.
 
-    Index arrays arrive in the narrowest safe dtype (int32 when slots,
-    nodes, and per-batch visited cells all fit) — the level loop is
-    memory-bound, so halving index width buys real throughput.
+    Index arrays are int64 throughout: numpy gathers through int32
+    indices several times slower than through native ones, which costs
+    more than the narrower arrays save.
 
-    ``forced`` (``(blocks here, columns)`` uint64, with ``rev_col``
-    mapping each edge position to its column or ``-1``) replaces the
-    coin of every position with a column: such an edge is live in a
-    lane iff the lane's bit of its block's forced word is set. Only
-    positions with ``rev_col == -1`` hash a counter coin.
+    ``forced`` (``(blocks here, columns)`` uint64, with the gather's
+    ``rev_col`` mapping each edge position to its column or ``-1``)
+    replaces the coin of every position with a column: such an edge is
+    live in a lane iff the lane's bit of its block's forced word is set.
+    Only positions with ``rev_col == -1`` hash a counter coin.
     """
-    idx = slots.dtype
-    n_idx = idx.type(num_nodes)
-    block_lo = slot_lo >> 6
+    num_nodes = gather.num_nodes
+    rev_indptr = gather.rev_indptr
+    rev_parent = gather.rev_parent
+    rev_col = gather.rev_col
+    node_bits = gather.node_bits
+    n_idx = np.int64(num_nodes)
+    block_lo = int(slots[0]) >> 6
     blocks_here = ((int(slots[-1]) >> 6) - block_lo) + 1
     visited = np.zeros(blocks_here * num_nodes, dtype=np.uint64)
     node_mask = (1 << node_bits) - 1
@@ -282,13 +286,11 @@ def _bit_rr_block_range(
         masks = np.bitwise_or.reduceat(
             _ONE << (packed & 63).astype(np.uint64), group
         )
-        row_block = (group_key >> node_bits).astype(idx, copy=False)
-        row_node = (group_key & node_mask).astype(idx, copy=False)
+        row_block = group_key >> node_bits
+        row_node = group_key & node_mask
         visited[(row_block - block_lo) * n_idx + row_node] |= masks
-        next_node = (row_key & node_mask).astype(idx, copy=False)
-        next_slot = (
-            ((row_key >> node_bits) << 6) | (packed & 63)
-        ).astype(idx, copy=False)
+        next_node = row_key & node_mask
+        next_slot = ((row_key >> node_bits) << 6) | (packed & 63)
         slot_chunks.append(next_slot)
         node_chunks.append(next_node)
         return next_slot, next_node, row_block, row_node, masks
@@ -316,14 +318,14 @@ def _bit_rr_block_range(
             # draw all lane coins per edge row — a fraction of the
             # array traffic of the pair loop. Root-grouped packing
             # makes the first levels extremely lane-dense.
-            edge_start = rev_indptr[row_node]
-            degrees = rev_indptr[row_node + 1] - edge_start
+            csr_row = mat.csr_rows(row_block, row_node)
+            edge_start = rev_indptr[csr_row]
+            degrees = rev_indptr[csr_row + 1] - edge_start
             total = int(degrees.sum())
             if total == 0:
                 return
-            level_dtype = idx if total <= _I32_MAX else np.dtype(np.int64)
-            cumulative = np.cumsum(degrees, dtype=level_dtype)
-            positions = np.arange(total, dtype=level_dtype) + np.repeat(
+            cumulative = np.cumsum(degrees)
+            positions = np.arange(total, dtype=np.int64) + np.repeat(
                 edge_start - (cumulative - degrees), degrees
             )
             er_parent = rev_parent[positions]
@@ -333,8 +335,7 @@ def _bit_rr_block_range(
             ]
             if forced is None:
                 row, lane_col = _row_coin_pairs(
-                    er_block, positions, cand, block_stride, rev_ctr,
-                    rev_thr, key,
+                    er_block, positions, cand, mat
                 )
             else:
                 # Covered rows read their lanes off the forced words;
@@ -348,28 +349,26 @@ def _bit_rr_block_range(
                 )
                 urows = np.flatnonzero(~is_cov)
                 urow, ulane = _row_coin_pairs(
-                    er_block[urows], positions[urows], cand[urows],
-                    block_stride, rev_ctr, rev_thr, key,
+                    er_block[urows], positions[urows], cand[urows], mat
                 )
                 row = np.concatenate([crows[frow], urows[urow]])
                 lane_col = np.concatenate([flane, ulane])
             if row.size == 0:
                 return
             packed = (
-                (er_block[row].astype(pack_dtype, copy=False) << node_bits)
-                | er_parent[row]
-            ) << 6 | lane_col.astype(pack_dtype, copy=False)
+                (er_block[row] << node_bits) | er_parent[row]
+            ) << 6 | lane_col
         else:
             # Pair space: one coin per (slot, node) frontier pair edge;
             # cheapest once lane masks thin out.
-            edge_start = rev_indptr[frontier_node]
-            degrees = rev_indptr[frontier_node + 1] - edge_start
+            csr_row = mat.csr_rows(frontier_slot >> 6, frontier_node)
+            edge_start = rev_indptr[csr_row]
+            degrees = rev_indptr[csr_row + 1] - edge_start
             total = int(degrees.sum())
             if total == 0:
                 return
-            level_dtype = idx if total <= _I32_MAX else np.dtype(np.int64)
-            cumulative = np.cumsum(degrees, dtype=level_dtype)
-            positions = np.arange(total, dtype=level_dtype) + np.repeat(
+            cumulative = np.cumsum(degrees)
+            positions = np.arange(total, dtype=np.int64) + np.repeat(
                 edge_start - (cumulative - degrees), degrees
             )
             parent = rev_parent[positions]
@@ -381,10 +380,7 @@ def _bit_rr_block_range(
             # coin, or forced word) AND the world must not have reached
             # the parent already.
             if forced is None:
-                live = _pair_coins(
-                    edge_block, positions, lane, block_stride, rev_ctr,
-                    rev_thr, key,
-                )
+                live = _pair_coins(edge_block, positions, lane, mat)
             else:
                 col = rev_col[positions]
                 is_cov = col >= 0
@@ -395,16 +391,14 @@ def _bit_rr_block_range(
                 ) & _ONE != 0
                 u = np.flatnonzero(~is_cov)
                 live[u] = _pair_coins(
-                    edge_block[u], positions[u], lane[u], block_stride,
-                    rev_ctr, rev_thr, key,
+                    edge_block[u], positions[u], lane[u], mat
                 )
             good = live & ((visited[visited_key] >> lane) & _ONE == 0)
             hit = np.flatnonzero(good)
             if hit.size == 0:
                 return
             packed = (
-                (edge_block[hit].astype(pack_dtype, copy=False) << node_bits)
-                | parent[hit]
+                (edge_block[hit] << node_bits) | parent[hit]
             ) << 6 | (edge_slot[hit] & 63)
         packed.sort()
         frontier_slot, frontier_node, row_block, row_node, row_mask = absorb(
@@ -420,21 +414,62 @@ def _word_pairs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(bits)
 
 
+class _BlockMaterial:
+    """Per-block stream material of one kernel pass.
+
+    A world's coin for live edge position ``p`` hashes the counter
+    ``base[block] + ctr[p] | lane`` under its stream's key and compares
+    against ``thr[p]``. ``base`` is the block's shard-local id times its
+    stream's stride, so a stream's coins do not depend on which other
+    streams share the pass. A stream's probability row picks its own
+    live reverse CSR inside the gather's stacked one: node ``v`` of a
+    block on row ``r`` reads CSR row ``r * n + v``. One-stream passes
+    skip the per-block lookups: one key stays scalar, one row needs no
+    offset, and a pass over every block of one shard computes ``base``
+    as ``block * stride``.
+    """
+
+    __slots__ = ("ctr", "thr", "base", "stride", "key", "node_off")
+
+    def __init__(self, ctr, thr, base, stride, key, node_off) -> None:
+        self.ctr = ctr  # (positions,) edge id << 6
+        self.thr = thr  # (positions,) coin thresholds
+        self.base = base  # (blocks,) uint64 counter base
+        self.stride = stride  # np.uint64 when base == block * stride
+        self.key = key  # np.uint64 scalar, or (blocks,) uint64
+        self.node_off = node_off  # 0, or (blocks,) row * num_nodes
+
+    def csr_rows(self, blocks: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Stacked reverse-CSR rows of (block, node) pairs."""
+        if isinstance(self.node_off, np.ndarray):
+            return nodes + self.node_off[blocks]
+        return nodes + self.node_off if self.node_off else nodes
+
+    def coins(self, blocks: np.ndarray, positions: np.ndarray):
+        """Lane-free counters, keys and thresholds of (block, position)s.
+
+        The key is the pass's scalar key when it has only one.
+        """
+        if self.stride is not None:
+            ctr = blocks.astype(np.uint64) * self.stride
+        else:
+            ctr = self.base[blocks]
+        ctr += self.ctr[positions]
+        key = self.key if self.key.ndim == 0 else self.key[blocks]
+        return ctr, key, self.thr[positions]
+
+
 def _row_coin_pairs(
     er_block: np.ndarray,
     positions: np.ndarray,
     cand: np.ndarray,
-    block_stride: np.uint64,
-    rev_ctr: np.ndarray,
-    rev_thr: np.ndarray,
-    key: np.uint64,
+    mat: _BlockMaterial,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(row, lane) of every candidate lane whose counter coin lands."""
     if cand.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    ebase = er_block.astype(np.uint64) * block_stride + rev_ctr[positions]
-    er_thr = rev_thr[positions]
+    ebase, key, er_thr = mat.coins(er_block, positions)
     if float(np.bitwise_count(cand).mean()) >= ROW_DENSE_LANES:
         # Near-full rows: hashing all 64 lanes in one 2-D pass beats
         # extracting the active ones first.
@@ -445,6 +480,8 @@ def _row_coin_pairs(
     # Moderate density: expand candidate lanes to pairs and hash
     # exactly one coin per active (edge row, lane).
     crow, clane = _word_pairs(cand)
+    if key.ndim:
+        key = key[crow]
     z = mix64((ebase[crow] | clane.astype(np.uint64)) ^ key)
     ok = np.flatnonzero((z >> U64(11)) < er_thr[crow])
     return crow[ok], clane[ok]
@@ -454,20 +491,11 @@ def _pair_coins(
     edge_block: np.ndarray,
     positions: np.ndarray,
     lane: np.ndarray,
-    block_stride: np.uint64,
-    rev_ctr: np.ndarray,
-    rev_thr: np.ndarray,
-    key: np.uint64,
+    mat: _BlockMaterial,
 ) -> np.ndarray:
     """One counter coin per (block, edge position, lane) triple."""
-    z = mix64(
-        (
-            edge_block.astype(np.uint64) * block_stride
-            + (rev_ctr[positions] | lane)
-        )
-        ^ key
-    )
-    return (z >> U64(11)) < rev_thr[positions]
+    ctr, key, thr = mat.coins(edge_block, positions)
+    return (mix64((ctr | lane) ^ key) >> U64(11)) < thr
 
 
 class RRGather:
@@ -475,11 +503,14 @@ class RRGather:
 
     The level loop indexes each live edge position once instead of
     chaining edge-id lookups per level. Built once per ``(graph,
-    probabilities)`` and shared by every shard replayed on it — a cold
-    build and a repair alike. ``max_samples`` bounds the samples of any
-    one shard and picks the narrowest safe index dtype (int32 when
-    slots, nodes, and per-batch visited cells all fit — the level loop
-    is memory-bound, so halving index width buys real throughput).
+    probabilities)`` and shared by every stream replayed on it — a cold
+    build and a repair alike. ``num_edges`` is the default coin-counter
+    stride. ``max_samples`` is accepted and unused: index arrays are
+    int64 whatever the pass size.
+
+    :meth:`of_probabilities` stacks one live reverse CSR per
+    probability vector (a *row*), so the streams of one pass can each
+    traverse their own live edges; the constructor builds one row.
 
     ``edge_col`` (length ``m``) maps each edge whose liveness comes from
     forced-live words to its column in those words, and every coin edge
@@ -487,9 +518,8 @@ class RRGather:
     """
 
     __slots__ = (
-        "num_nodes", "node_bits", "block_stride", "idx", "pack_dtype",
-        "rev_indptr", "rev_parent", "rev_thr", "rev_ctr", "rev_col",
-        "num_cols",
+        "num_nodes", "num_edges", "node_bits", "rev_indptr",
+        "rev_parent", "rev_thr", "rev_ctr", "rev_col", "num_cols",
     )
 
     def __init__(
@@ -500,29 +530,51 @@ class RRGather:
         rev_edges: np.ndarray,
         src: np.ndarray,
         thr53: np.ndarray,
-        max_samples: int,
+        max_samples: int | None = None,
         edge_col: np.ndarray | None = None,
     ) -> None:
-        num_blocks = (max_samples + 63) // 64
-        blocks_per_batch = max(1, DEFAULT_BLOCK_CELLS // max(num_nodes, 1))
-        use32 = (
-            max_samples <= _I32_MAX
-            and num_nodes <= _I32_MAX
-            and min(blocks_per_batch, num_blocks) * num_nodes <= _I32_MAX
+        self._fill(
+            num_nodes, num_edges, rev_indptr, rev_edges, src,
+            thr53[rev_edges], edge_col,
         )
-        idx = np.dtype(np.int32) if use32 else np.dtype(np.int64)
+
+    @classmethod
+    def of_probabilities(
+        cls, graph, prob_rows: Sequence[np.ndarray]
+    ) -> "RRGather":
+        """Pre-gathers of ``graph``, one stacked row per probability vector.
+
+        Row ``r`` is the live reverse CSR of ``prob_rows[r]`` (CSR rows
+        ``r * n`` to ``r * n + n - 1``), so a stream traverses only its
+        own live edges; thresholds are computed for live edges only.
+        """
+        rev_indptr, rev_edges = graph.reverse_csr()
+        m = rev_edges.size
+        probs = np.stack([p[rev_edges] for p in prob_rows])
+        live = np.flatnonzero(probs > 0.0)  # row * m + position, sorted
+        # CSR row r * n + v starts at the live count before its edges.
+        starts = (
+            np.arange(len(prob_rows))[:, None] * m + rev_indptr[None, :-1]
+        ).ravel()
+        gather = cls.__new__(cls)
+        gather._fill(
+            graph.num_nodes, graph.num_edges,
+            np.append(np.searchsorted(live, starts), live.size),
+            rev_edges[live % m], graph.src,
+            coin_thresholds(probs.ravel()[live]), None,
+        )
+        return gather
+
+    def _fill(
+        self, num_nodes, num_edges, rev_indptr, rev_edges, src, rev_thr,
+        edge_col,
+    ) -> None:
         self.num_nodes = int(num_nodes)
+        self.num_edges = int(num_edges)
         self.node_bits = max(int(num_nodes - 1).bit_length(), 1)
-        self.idx = idx
-        self.pack_dtype = (
-            np.int32
-            if num_blocks << (self.node_bits + 6) <= _I32_MAX
-            else np.int64
-        )
-        self.block_stride = U64(num_edges) << U64(6)
-        self.rev_indptr = rev_indptr.astype(idx, copy=False)
-        self.rev_parent = src[rev_edges].astype(idx, copy=False)
-        self.rev_thr = thr53[rev_edges]
+        self.rev_indptr = rev_indptr.astype(np.int64, copy=False)
+        self.rev_parent = src[rev_edges].astype(np.int64, copy=False)
+        self.rev_thr = rev_thr
         self.rev_ctr = rev_edges.astype(np.uint64) << U64(6)
         if edge_col is None:
             self.rev_col = None
@@ -530,6 +582,193 @@ class RRGather:
         else:
             self.rev_col = edge_col[rev_edges].astype(np.int64, copy=False)
             self.num_cols = int(edge_col.max(initial=-1)) + 1
+
+
+class RRStream(NamedTuple):
+    """One shard's lanes in an RR kernel pass.
+
+    ``roots`` are the whole shard's roots: they fix the root-sorted slot
+    layout, so a replayed sample keeps the ``(block, lane)`` world it
+    was first drawn in. ``samples`` (ascending ids; all if None) are the
+    lanes the pass runs. ``row`` picks the gather's probability row (the
+    stream's live edges and coin thresholds) and ``stride`` the
+    coin-counter edge stride (a sketch's frozen edge capacity; the
+    gather's ``num_edges`` if None).
+    """
+
+    roots: np.ndarray
+    key: int
+    samples: np.ndarray | None = None
+    row: int = 0
+    stride: int | None = None
+
+
+def bit_rr_pass(
+    gather: RRGather,
+    streams: Sequence[RRStream],
+    forced=None,
+    on_batch=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replay the RR sets of several streams in one kernel pass.
+
+    Each stream's lanes keep their shard-local ``(block, lane)`` worlds;
+    the pass packs the blocks that hold lanes back to back (fused
+    blocks) and looks each block's key, counter base and live-CSR row
+    up per block, so every coin is the one a single-stream replay draws
+    and the visited words cover only occupied blocks. One traversal
+    then pays the level loop's fixed per-level cost once for all
+    streams. Returns flat CSR ``(members, indptr)`` with one row per
+    requested sample: the streams' samples in stream order, ascending
+    within a stream.
+
+    ``forced`` and ``on_batch`` need exactly one stream; see
+    :func:`bit_rr_replay`.
+    """
+    num_nodes = gather.num_nodes
+    slot_parts, root_parts, row_parts = [], [], []
+    bases, keys, thr_rows, block_counts = [], [], [], []
+    layouts = []  # per stream with lanes: (slot -> sample, local blocks)
+    num_blocks = num_rows = 0
+    for stream in streams:
+        roots = np.asarray(stream.roots, dtype=np.int64)
+        # slot -> sample id (root-grouped packing)
+        slot_order = stable_argsort(roots, num_nodes)
+        if stream.samples is None:
+            if not roots.size:
+                continue
+            # Every block holds lanes: fused slots are a shifted range.
+            rows = slot_order
+            blocks = np.arange((roots.size + 63) // 64, dtype=np.int64)
+            fused = np.arange(roots.size, dtype=np.int64) + (num_blocks << 6)
+            slot_roots = roots[slot_order]
+        else:
+            slot_of_sample = np.empty(roots.size, dtype=np.int64)
+            slot_of_sample[slot_order] = np.arange(roots.size, dtype=np.int64)
+            picked = slot_of_sample[np.asarray(stream.samples, dtype=np.int64)]
+            if not picked.size:
+                continue
+            rows = np.argsort(picked, kind="stable")  # slot -> sample rank
+            slots = picked[rows]
+            local = slots >> 6
+            occupied = np.empty(slots.size, dtype=bool)
+            occupied[0] = True
+            np.not_equal(local[1:], local[:-1], out=occupied[1:])
+            blocks = local[occupied]
+            fused = (
+                (np.cumsum(occupied) + (num_blocks - 1)) << 6
+            ) | (slots & 63)
+            slot_roots = roots[slot_order[slots]]
+        layouts.append((slot_order, blocks))
+        slot_parts.append(fused)
+        root_parts.append(slot_roots)
+        row_parts.append(rows + num_rows if num_rows else rows)
+        stride = gather.num_edges if stream.stride is None else stream.stride
+        bases.append(blocks.astype(np.uint64) * (U64(stride) << U64(6)))
+        keys.append(stream.key)
+        thr_rows.append(stream.row)
+        block_counts.append(blocks.size)
+        num_blocks += blocks.size
+        num_rows += fused.size
+    if num_rows == 0:
+        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    if (forced is not None or on_batch is not None) and len(layouts) != 1:
+        raise ValueError("forced words and on_batch need exactly one stream")
+
+    slots = _joined(slot_parts)
+    slot_roots = _joined(root_parts)
+    slot_rows = _joined(row_parts)
+    mat = _pass_material(
+        gather, bases, keys, thr_rows, block_counts,
+        # One whole shard: base == block * stride, no lookup needed.
+        U64(stride) << U64(6)
+        if len(streams) == 1 and streams[0].samples is None else None,
+    )
+    if int(slots[-1]) == num_rows - 1:
+        row_of_slot = slot_rows  # slots are exactly 0 .. num_rows - 1
+    else:
+        row_of_slot = np.empty(num_blocks * 64, dtype=np.int64)
+        row_of_slot[slots] = slot_rows
+
+    slot_chunks: list[np.ndarray] = []
+    node_chunks: list[np.ndarray] = []
+
+    def collect(done: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat CSR of the rows of the first ``done`` slots."""
+        every = done == slots.size
+        rows = (
+            np.arange(num_rows, dtype=np.int64) if every
+            else np.sort(slot_rows[:done])
+        )
+        owner = row_of_slot[np.concatenate(slot_chunks)]
+        order = stable_argsort(owner, num_rows - 1)
+        members = np.concatenate(node_chunks)[order]
+        counts = np.bincount(owner, minlength=num_rows)
+        if not every:
+            counts = counts[rows]
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return rows, members, indptr
+
+    batches = _block_batches(num_blocks, max(num_nodes, gather.num_cols))
+    bounds = np.searchsorted(
+        slots, [lo * 64 for lo, _ in batches] + [num_blocks * 64]
+    ).tolist()
+    for (block_lo, block_hi), lo, hi in zip(batches, bounds, bounds[1:]):
+        words = None
+        if forced is not None:
+            # The one stream's shard-local blocks of this batch.
+            slot_order, local = layouts[0]
+            local = local[block_lo:block_hi]
+            first, last = int(local[0]), int(local[-1])
+            words = forced(
+                slot_order[first * 64:min((last + 1) * 64, slot_order.size)]
+            )
+            if local.size != last + 1 - first:
+                words = words[local - first]
+        chunks_before = len(node_chunks)
+        _bit_rr_block_range(
+            gather, mat, slots[lo:hi], slot_roots[lo:hi], slot_chunks,
+            node_chunks, words,
+        )
+        if on_batch is not None:
+            on_batch(
+                sum(chunk.size for chunk in node_chunks[chunks_before:]),
+                lambda done=hi: collect(done),
+            )
+
+    _rows, members, indptr = collect(slots.size)
+    return members, indptr
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenate, skipping the copy for a single part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _pass_material(
+    gather: RRGather,
+    bases: list[np.ndarray],
+    keys: list[int],
+    thr_rows: list[int],
+    block_counts: list[int],
+    stride: np.uint64 | None,
+) -> _BlockMaterial:
+    """Per-block material of a pass; scalar where its streams agree."""
+    base = np.concatenate(bases)
+    if len(set(keys)) == 1:
+        key = U64(keys[0])
+    else:
+        key = np.repeat(np.array(keys, dtype=np.uint64), block_counts)
+    if len(set(thr_rows)) == 1:
+        node_off = thr_rows[0] * gather.num_nodes
+    else:
+        node_off = np.repeat(
+            np.asarray(thr_rows, dtype=np.intp) * gather.num_nodes,
+            block_counts,
+        )
+    return _BlockMaterial(
+        gather.rev_ctr, gather.rev_thr, base, stride, key, node_off
+    )
 
 
 def bit_rr_replay(
@@ -542,99 +781,29 @@ def bit_rr_replay(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replay the RR sets of ``samples`` (ascending ids; all if None).
 
-    Slots are the root-sorted positions of the *whole* shard ``roots``,
-    so every replayed sample keeps the ``(block, lane)`` world it was
-    first drawn in; the lanes of samples left out are ghost lanes that
-    never get a bit. Because coins are counter-based, a replayed set is
+    The one-stream case of :func:`bit_rr_pass`. Slots are the
+    root-sorted positions of the *whole* shard ``roots``, so every
+    replayed sample keeps the ``(block, lane)`` world it was first
+    drawn in; the lanes of samples left out are ghost lanes that never
+    get a bit. Because coins are counter-based, a replayed set is
     bit-identical to the same row of a full run. Returns flat CSR
     ``(members, indptr)`` with one row per requested sample.
 
     With a gather built with ``edge_col``, ``forced(slot_samples)``
     supplies each block batch's forced-live words: ``slot_samples``
-    holds the sample ids of the batch's slots in slot order (a ragged
-    last block is short), and the result is ``(blocks, columns)``
-    uint64 whose row ``j`` bit ``b`` is the verdict for slot
-    ``64 j + b``. ``on_batch(new_members, partial)`` runs after every
-    block batch; ``partial()`` returns ``(sample_ids, members,
-    indptr)`` for the samples finished so far, so a caller stopping
-    the run can keep them.
+    holds the sample ids of the slots from the batch's first block to
+    its last, in slot order (a ragged last block is short), and the
+    result is ``(blocks, columns)`` uint64 whose row ``j`` bit ``b`` is
+    the verdict for the ``b``-th slot of that range's block ``j``.
+    ``on_batch(new_members, partial)`` runs after every block batch;
+    ``partial()`` returns ``(rows, members, indptr)`` for the rows
+    finished so far (row ``i`` is the ``i``-th requested sample; with
+    ``samples=None`` that is sample ``i``), so a caller stopping the
+    run can keep them.
     """
-    roots = np.asarray(roots, dtype=np.int64)
-    S = int(roots.size)
-    idx = gather.idx
-    replay_all = samples is None
-    if replay_all:
-        samples = np.arange(S, dtype=np.int64)
-    if samples.size == 0:
-        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    key = U64(key)
-    num_nodes = gather.num_nodes
-    # slot -> sample id (root-grouped packing)
-    slot_order = stable_argsort(roots, num_nodes)
-    slot_roots = roots[slot_order].astype(idx, copy=False)
-    if replay_all:
-        slots = np.arange(S, dtype=idx)
-    else:
-        slot_of_sample = np.empty(S, dtype=np.int64)
-        slot_of_sample[slot_order] = np.arange(S, dtype=np.int64)
-        slots = np.sort(slot_of_sample[samples]).astype(idx, copy=False)
-        slot_roots = slot_roots[slots]
-
-    slot_chunks: list[np.ndarray] = []
-    node_chunks: list[np.ndarray] = []
-
-    def collect(done: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat CSR of the samples of the first ``done`` slots."""
-        rows = (
-            samples if done == slots.size
-            else np.sort(slot_order[slots[:done]])
-        )
-        if not slot_chunks:
-            return rows, np.empty(0, dtype=np.int64), np.zeros(
-                rows.size + 1, dtype=np.int64
-            )
-        owner = slot_order[np.concatenate(slot_chunks)]
-        order = stable_argsort(owner, S - 1)
-        members = np.concatenate(node_chunks)[order]
-        counts = np.bincount(owner, minlength=S)[rows]
-        indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return rows, members, indptr
-
-    bounds = np.searchsorted(
-        slots,
-        [
-            lo * 64
-            for lo, _ in _block_batches(
-                (S + 63) // 64, max(num_nodes, gather.num_cols)
-            )
-        ]
-        + [S],
+    return bit_rr_pass(
+        gather, (RRStream(roots, key, samples),), forced, on_batch
     )
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        if lo == hi:
-            continue
-        words = None
-        if forced is not None:
-            first = (int(slots[lo]) >> 6) * 64
-            last = min(((int(slots[hi - 1]) >> 6) + 1) * 64, S)
-            words = forced(slot_order[first:last])
-        chunks_before = len(node_chunks)
-        _bit_rr_block_range(
-            num_nodes, gather.block_stride, gather.rev_indptr,
-            gather.rev_parent, gather.rev_thr, gather.rev_ctr,
-            int(slots[lo]), slots[lo:hi], slot_roots[lo:hi], key,
-            gather.node_bits, gather.pack_dtype, slot_chunks, node_chunks,
-            gather.rev_col, words,
-        )
-        if on_batch is not None:
-            on_batch(
-                sum(chunk.size for chunk in node_chunks[chunks_before:]),
-                lambda done=hi: collect(done),
-            )
-
-    _rows, members, indptr = collect(slots.size)
-    return members, indptr
 
 
 def bit_rr_members(
@@ -663,9 +832,14 @@ def bit_rr_members(
 
 
 def _dense_coins(
-    ebase: np.ndarray, thr: np.ndarray, cand: np.ndarray, key: np.uint64
+    ebase: np.ndarray, thr: np.ndarray, cand: np.ndarray, key
 ) -> np.ndarray:
-    """All-64-lane coin evaluation per row (dense frontiers)."""
+    """All-64-lane coin evaluation per row (dense frontiers).
+
+    ``key`` is one stream key, or one per row.
+    """
+    if key.ndim:
+        key = key[:, None]
     z = mix64((ebase[:, None] | _LANES64[None, :]) ^ key)
     succ = (z >> U64(11)) < thr[:, None]
     live = np.packbits(succ, axis=1, bitorder="little").view(np.uint64)
@@ -851,14 +1025,9 @@ def bitparallel_rr_members(
     roots = np.asarray(roots, dtype=np.int64)
     check_node_array(roots, graph.num_nodes,
                      context="bitparallel_rr_members")
-    rev_indptr, rev_edges = graph.reverse_csr()
     with kernel_timer("kernel.bitworld_rr"):
-        thr53 = coin_thresholds(edge_probs)
-        live_indptr, live_edges = live_csr(rev_indptr, rev_edges, edge_probs)
-        return bit_rr_members(
-            graph.num_nodes, graph.num_edges, live_indptr, live_edges,
-            graph.src, roots, thr53, key,
-        )
+        gather = RRGather.of_probabilities(graph, [edge_probs])
+        return bit_rr_replay(gather, roots, key)
 
 
 def bitparallel_cascade_counts(

@@ -135,7 +135,7 @@ def sample_indexed_rr_sets(
     gather = RRGather(
         graph.num_nodes, graph.num_edges, live_indptr, live_edges,
         graph.src, coin_thresholds(np.where(forced, 0.0, edge_probs)),
-        int(roots.size), edge_col=edge_col,
+        edge_col=edge_col,
     )
 
     def lane_words(slot_samples: np.ndarray) -> np.ndarray:

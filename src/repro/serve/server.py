@@ -119,6 +119,7 @@ from repro.serve.qos import (
 from repro.sketch.incremental import (
     REPAIR_MODES,
     RepairableSketch,
+    repair_sketches,
     trs_build_repairable_sketch,
 )
 from repro.sketch.trs import trs_build_sketch, trs_select_from_sketch
@@ -915,15 +916,19 @@ class CampaignServer:
     ) -> dict[str, int]:
         """Promote / repair / drop resident assets across an epoch bump.
 
-        Runs under the edit lock. Concurrent queries keep working: old
-        assets are never mutated (repair is copy-on-write) and ``rekey``
-        refuses to clobber, so the worst race outcome is a redundant
-        rebuild, never a wrong answer.
+        Runs under the edit lock. Every resident asset is classified
+        first; the dirty repairable sketches then repair together, in
+        one RR kernel pass (:func:`~repro.sketch.repair_sketches`). A
+        sketch that cannot be repaired is dropped alone. Concurrent
+        queries keep working: old assets are never mutated (repair is
+        copy-on-write) and ``rekey`` refuses to clobber, so the worst
+        race outcome is a redundant rebuild, never a wrong answer.
         """
         stats = {
             "promoted": 0, "repaired": 0, "dropped": 0,
             "resampled_sets": 0,
         }
+        dirty = []  # (key, new_key, sketch, edge_probs, dirty set ids)
         for key in self._cache.keys_snapshot():
             if getattr(key, "epoch", 0) != old_epoch:
                 # An epoch no new query can name — free the bytes.
@@ -946,21 +951,13 @@ class CampaignServer:
                 if repair:
                     try:
                         edge_probs = new_graph.edge_probabilities(key.tags)
-                        repaired, rstats = value.repair(
-                            new_graph, edge_probs, dirty_edges,
-                            set_ids=dirty_sets,
-                        )
                     except InvalidQueryError:
-                        # Past the frozen edge capacity, or the edits
-                        # emptied one of the sketch's tags — either way
-                        # the sketch cannot be patched forward.
-                        repaired = None
-                    if repaired is not None and self._cache.rekey(
-                        key, new_key, value=repaired,
-                        nbytes=repaired.nbytes,
-                    ):
-                        stats["repaired"] += 1
-                        stats["resampled_sets"] += rstats["dirty_sets"]
+                        # The edits emptied one of the sketch's tags.
+                        pass
+                    else:
+                        dirty.append(
+                            (key, new_key, value, edge_probs, dirty_sets)
+                        )
                         continue
                 if self._cache.invalidate(key):
                     stats["dropped"] += 1
@@ -972,6 +969,24 @@ class CampaignServer:
                     stats["dropped"] += 1
             elif self._cache.rekey(key, new_key):
                 stats["promoted"] += 1
+        if not dirty:
+            return stats
+        results = repair_sketches(
+            new_graph, dirty_edges, [item[2:] for item in dirty]
+        )
+        for (key, new_key, *_), result in zip(dirty, results):
+            # An error here means the sketch is past its frozen edge
+            # capacity: it cannot be patched forward, so it is dropped.
+            if not isinstance(result, InvalidQueryError):
+                repaired, rstats = result
+                if self._cache.rekey(
+                    key, new_key, value=repaired, nbytes=repaired.nbytes,
+                ):
+                    stats["repaired"] += 1
+                    stats["resampled_sets"] += rstats["dirty_sets"]
+                    continue
+            if self._cache.invalidate(key):
+                stats["dropped"] += 1
         return stats
 
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.sketch.incremental import (
     RepairableSketch,
     SketchCapacityError,
     build_repairable_sketch,
+    repair_sketches,
     trs_build_repairable_sketch,
 )
 from repro.sketch.rr_sets import (
@@ -44,6 +45,7 @@ __all__ = [
     "estimate_opt_t",
     "greedy_max_coverage",
     "imm_select_seeds",
+    "repair_sketches",
     "reverse_reachable_set",
     "rr_set_from_edge_mask",
     "sample_rr_sets",

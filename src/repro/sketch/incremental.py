@@ -34,20 +34,27 @@ the same seed. Two properties make this possible:
 
 Repair is copy-on-write: :meth:`RepairableSketch.repair` returns a new
 sketch (sharing shard records and clean storage), so in-flight readers
-of the old sketch never observe a splice.
+of the old sketch never observe a splice. :func:`repair_sketches`
+repairs several sketches after one edit batch; ``repair`` is its
+one-item call. A sketch that cannot be repaired (past its edge
+capacity) gets its error back while the others repair.
 
 Cost model
 ----------
-Build and bit-parallel repair share one RR kernel: the edited graph is
-pre-gathered once (:class:`~repro.engine.bitworld.RRGather`, ``O(m)``),
-then :func:`~repro.engine.bitworld.bit_rr_replay` runs once per shard
-that holds a dirty set, over only that shard's dirty lanes — clean
-lanes are ghost lanes that never get a bit, and each dirty sample keeps
-the ``(block, lane)`` world it was built in. A pass costs a fixed
-per-BFS-level overhead plus the dirty lanes' frontier work, so a sparse
-batch costs about as much as the sets it dirties, plus the pre-gather,
-the inverted-index probe and an ``O(θ)`` splice. The scalar path
-replays each dirty set's own stream, one traversal per set.
+Build and bit-parallel repair share one RR kernel pass,
+:func:`~repro.engine.bitworld.bit_rr_pass`. The edited graph is
+pre-gathered once per batch (:meth:`~repro.engine.bitworld.RRGather.
+of_probabilities`: one live reverse CSR per distinct tag set, ``O(m)``
+each), then one pass replays the dirty lanes of every shard of every
+dirty sketch — a stream per shard, each under its own key, counter
+stride and live edges. Clean lanes are ghost lanes that never get a
+bit, and each dirty sample keeps the ``(block, lane)`` world it was
+built in. The kernel's fixed per-BFS-level cost is paid once per edit
+batch, not once per dirty shard, so a sparse batch costs about as much
+as the sets it dirties, plus the pre-gather, the inverted-index probes
+and an ``O(θ)`` splice per sketch. A cold build runs all of its shards
+in one pass the same way. The scalar path replays each dirty set's own
+stream, one traversal per set.
 """
 
 from __future__ import annotations
@@ -57,12 +64,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.engine.bitworld import (
-    RRGather,
-    bit_rr_replay,
-    coin_thresholds,
-    live_csr,
-)
+from repro.engine.bitworld import RRGather, RRStream, bit_rr_pass
 from repro.engine.parallel import DEFAULT_SHARD_SIZE, _shard_counts
 from repro.engine.rr_storage import RRCollection
 from repro.exceptions import InvalidQueryError
@@ -76,6 +78,7 @@ __all__ = [
     "RepairableSketch",
     "SketchCapacityError",
     "build_repairable_sketch",
+    "repair_sketches",
     "trs_build_repairable_sketch",
 ]
 
@@ -166,8 +169,19 @@ class RepairableSketch:
         is bit-identical to :meth:`cold_rebuild` on the same snapshot.
         ``set_ids`` passes in :meth:`dirty_set_ids` of the destinations
         of ``dirty_edges`` when the caller already has it, so it is not
-        computed twice.
+        computed twice. The one-item call of :func:`repair_sketches`.
         """
+        (result,) = repair_sketches(
+            graph, dirty_edges, [(self, edge_probs, set_ids)]
+        )
+        if isinstance(result, InvalidQueryError):
+            raise result
+        return result
+
+    def _check_repairable(
+        self, graph: TagGraph, edge_probs: np.ndarray
+    ) -> None:
+        """Raise unless this sketch can be patched forward to ``graph``."""
         if edge_probs.shape != (graph.num_edges,):
             raise InvalidQueryError(
                 f"edge_probs must have length m={graph.num_edges}, "
@@ -178,34 +192,6 @@ class RepairableSketch:
                 f"graph has {graph.num_edges} edges, past the sketch's "
                 f"frozen capacity {self.edge_capacity} — rebuild cold"
             )
-        dirty_edges = np.unique(np.asarray(dirty_edges, dtype=np.int64))
-        stats = {
-            "dirty_edges": int(dirty_edges.size),
-            "dirty_nodes": 0,
-            "dirty_sets": 0,
-            "total_sets": int(self.theta),
-            "resampled_members": 0,
-        }
-        if not dirty_edges.size:
-            return self, stats
-        if dirty_edges[0] < 0 or dirty_edges[-1] >= graph.num_edges:
-            raise InvalidQueryError(
-                f"dirty edge ids outside [0, {graph.num_edges})"
-            )
-        dirty_nodes = np.unique(graph.dst[dirty_edges])
-        stats["dirty_nodes"] = int(dirty_nodes.size)
-        if set_ids is None:
-            set_ids = self.rr.dirty_set_ids(dirty_nodes)
-        stats["dirty_sets"] = int(set_ids.size)
-        if not set_ids.size:
-            return self, stats
-
-        if self.mode == "scalar":
-            new_sets = self._resample_scalar(graph, edge_probs, set_ids)
-        else:
-            new_sets = self._resample_bitparallel(graph, edge_probs, set_ids)
-        stats["resampled_members"] = new_sets.total_members
-        return replace(self, rr=self.rr.replaced(set_ids, new_sets)), stats
 
     def _resample_scalar(
         self, graph: TagGraph, edge_probs: np.ndarray, set_ids: np.ndarray
@@ -229,24 +215,27 @@ class RepairableSketch:
     def _resample_bitparallel(
         self, graph: TagGraph, edge_probs: np.ndarray, set_ids: np.ndarray
     ) -> RRCollection:
-        """Replay the dirty lanes of each shard in one kernel pass."""
-        gather = _rr_gather(
-            graph, edge_probs, self.edge_capacity,
-            max(s.count for s in self.shards),
-        )
+        """Replay the dirty lanes of every shard in one kernel pass."""
+        (resampled,) = _replay_dirty(graph, [(self, edge_probs, set_ids)])
+        return resampled
+
+    def _dirty_streams(
+        self, set_ids: np.ndarray, row: int
+    ) -> list[RRStream]:
+        """One kernel stream per shard holding a set of ``set_ids``."""
         starts = np.array([s.start for s in self.shards], dtype=np.int64)
         owner = np.searchsorted(starts, set_ids, side="right") - 1
         cuts = np.flatnonzero(np.diff(owner)) + 1
-        parts = []
+        streams = []
         for shard_idx, ids in zip(
             owner[np.r_[0, cuts]].tolist(), np.split(set_ids, cuts)
         ):
             shard = self.shards[shard_idx]
-            members, indptr = bit_rr_replay(
-                gather, shard.roots, shard.key, ids - shard.start
-            )
-            parts.append(RRCollection(members, indptr, graph.num_nodes))
-        return RRCollection.concat(parts)
+            streams.append(RRStream(
+                shard.roots, shard.key, ids - shard.start, row,
+                self.edge_capacity,
+            ))
+        return streams
 
     def cold_rebuild(
         self, graph: TagGraph, edge_probs: np.ndarray
@@ -324,46 +313,42 @@ def build_repairable_sketch(
     streams = master.bit_generator.seed_seq.spawn(len(counts))
 
     shards: list[_Shard] = []
-    collections: list[RRCollection] = []
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    if mode == "bitparallel":
-        gather = _rr_gather(graph, edge_probs, edge_capacity, max(counts))
     start = 0
     for count, stream in zip(counts, streams):
         shard_rng = np.random.default_rng(stream)
         roots = shard_rng.choice(target_arr, size=count)
         if mode == "scalar":
-            child_seeds = tuple(stream.spawn(count))
-            sets = [
-                _reverse_reachable_set_into(
-                    graph,
-                    int(roots[i]),
-                    edge_probs,
-                    np.random.default_rng(child_seeds[i]),
-                    visited,
-                )
-                for i in range(count)
-            ]
-            collections.append(RRCollection.from_sets(sets, graph.num_nodes))
-            shards.append(
-                _Shard(start, count, roots, child_seeds=child_seeds)
-            )
+            shards.append(_Shard(
+                start, count, roots, child_seeds=tuple(stream.spawn(count))
+            ))
         else:
             key = int(shard_rng.integers(_KEY_MAX, dtype=np.int64))
-            members, indptr = bit_rr_replay(gather, roots, key)
-            collections.append(
-                RRCollection(members, indptr, graph.num_nodes)
-            )
             shards.append(_Shard(start, count, roots, key=key))
         start += count
 
-    rr = (
-        RRCollection.concat(collections)
-        if len(collections) != 1
-        else collections[0]
-    )
-    if not collections:
-        rr = RRCollection.from_sets([], graph.num_nodes)
+    if mode == "scalar":
+        visited = np.zeros(graph.num_nodes, dtype=bool)
+        rr = RRCollection.from_sets(
+            [
+                _reverse_reachable_set_into(
+                    graph, int(root), edge_probs,
+                    np.random.default_rng(child), visited,
+                )
+                for shard in shards
+                for root, child in zip(shard.roots, shard.child_seeds)
+            ],
+            graph.num_nodes,
+        )
+    else:
+        # Every shard's lanes in one kernel pass.
+        members, indptr = bit_rr_pass(
+            RRGather.of_probabilities(graph, [edge_probs]),
+            [
+                RRStream(shard.roots, shard.key, stride=edge_capacity)
+                for shard in shards
+            ],
+        )
+        rr = RRCollection(members, indptr, graph.num_nodes)
     return RepairableSketch(
         rr=rr,
         theta=int(theta),
@@ -424,14 +409,115 @@ def trs_build_repairable_sketch(
     )
 
 
-def _rr_gather(
-    graph: TagGraph, edge_probs: np.ndarray, edge_capacity: int,
-    max_samples: int,
-) -> RRGather:
-    """Kernel pre-gathers of ``graph``, coins strided by the capacity."""
-    rev_indptr, rev_edges = graph.reverse_csr()
-    live_indptr, live_edges = live_csr(rev_indptr, rev_edges, edge_probs)
-    return RRGather(
-        graph.num_nodes, edge_capacity, live_indptr, live_edges, graph.src,
-        coin_thresholds(edge_probs), max_samples,
+RepairResult = tuple[RepairableSketch, dict[str, int]] | InvalidQueryError
+
+
+def repair_sketches(
+    graph: TagGraph,
+    dirty_edges: np.ndarray,
+    items: Sequence[
+        tuple[RepairableSketch, np.ndarray, np.ndarray | None]
+    ],
+) -> list[RepairResult]:
+    """Repair several sketches after one edit batch, in one kernel pass.
+
+    Each item is ``(sketch, edge_probs, set_ids)``: a sketch, the
+    post-edit probabilities of its tag set on ``graph``, and its dirty
+    set ids (``None`` computes them from ``dirty_edges``). The dirty
+    lanes of every bit-parallel sketch, across all of its shards, replay
+    in one :func:`~repro.engine.bitworld.bit_rr_pass`; scalar sketches
+    replay their per-set streams. Returns one entry per item: the
+    ``(repaired sketch, stats)`` pair of :meth:`RepairableSketch.repair`
+    — bit-identical to a cold rebuild — or the
+    :class:`~repro.exceptions.InvalidQueryError` (such as
+    :class:`SketchCapacityError`) that keeps that one sketch from being
+    repaired; the other items still repair.
+    """
+    dirty_edges = np.unique(np.asarray(dirty_edges, dtype=np.int64))
+    if dirty_edges.size and (
+        dirty_edges[0] < 0 or dirty_edges[-1] >= graph.num_edges
+    ):
+        raise InvalidQueryError(
+            f"dirty edge ids outside [0, {graph.num_edges})"
+        )
+    dirty_nodes = np.unique(graph.dst[dirty_edges])
+    results: list[RepairResult] = []
+    pending = []  # (result index, sketch, edge_probs, set_ids, stats)
+    for sketch, edge_probs, set_ids in items:
+        try:
+            sketch._check_repairable(graph, edge_probs)
+        except InvalidQueryError as exc:
+            results.append(exc)
+            continue
+        stats = {
+            "dirty_edges": int(dirty_edges.size),
+            "dirty_nodes": int(dirty_nodes.size),
+            "dirty_sets": 0,
+            "total_sets": int(sketch.theta),
+            "resampled_members": 0,
+        }
+        results.append((sketch, stats))
+        if not dirty_edges.size:
+            continue
+        if set_ids is None:
+            set_ids = sketch.rr.dirty_set_ids(dirty_nodes)
+        stats["dirty_sets"] = int(set_ids.size)
+        if not set_ids.size:
+            continue
+        if sketch.mode == "scalar":
+            new_sets = sketch._resample_scalar(graph, edge_probs, set_ids)
+            results[-1] = _spliced(sketch, set_ids, new_sets, stats)
+            continue
+        pending.append((len(results) - 1, sketch, edge_probs, set_ids, stats))
+    if pending:
+        resampled = _replay_dirty(graph, [item[1:4] for item in pending])
+        for (i, sketch, _probs, set_ids, stats), new_sets in zip(
+            pending, resampled
+        ):
+            results[i] = _spliced(sketch, set_ids, new_sets, stats)
+    return results
+
+
+def _spliced(
+    sketch: RepairableSketch,
+    set_ids: np.ndarray,
+    new_sets: RRCollection,
+    stats: dict[str, int],
+) -> tuple[RepairableSketch, dict[str, int]]:
+    """``sketch`` with ``set_ids`` swapped for ``new_sets``, and stats."""
+    stats["resampled_members"] = new_sets.total_members
+    return replace(sketch, rr=sketch.rr.replaced(set_ids, new_sets)), stats
+
+
+def _replay_dirty(
+    graph: TagGraph,
+    items: Sequence[tuple[RepairableSketch, np.ndarray, np.ndarray]],
+) -> list[RRCollection]:
+    """Replay each bit-parallel item's dirty sets; one kernel pass.
+
+    The pass runs on the union live reverse CSR of the items' edge
+    probabilities, one threshold row per distinct probability vector
+    (items with the same tag set share one); an edge dead for a row
+    keeps threshold 0 there, so it never lands for that row's streams.
+    """
+    rows: dict[int, int] = {}
+    prob_rows: list[np.ndarray] = []
+    streams: list[RRStream] = []
+    for sketch, edge_probs, set_ids in items:
+        row = rows.setdefault(id(edge_probs), len(prob_rows))
+        if row == len(prob_rows):
+            prob_rows.append(edge_probs)
+        streams.extend(sketch._dirty_streams(set_ids, row))
+    members, indptr = bit_rr_pass(
+        RRGather.of_probabilities(graph, prob_rows), streams,
     )
+    out = []
+    lo = 0
+    for _sketch, _probs, set_ids in items:
+        hi = lo + set_ids.size
+        out.append(RRCollection(
+            members[indptr[lo]:indptr[hi]], indptr[lo:hi + 1] - indptr[lo],
+            graph.num_nodes,
+        ))
+        lo = hi
+    return out

@@ -68,7 +68,9 @@ def stable_argsort(values: np.ndarray, bound: int) -> np.ndarray:
 
     numpy's ``kind="stable"`` picks an O(n) radix sort only for dtypes
     up to 16 bits (wider ints fall back to timsort, ~10x slower); node
-    ids and shard sizes on the evaluation graphs fit comfortably.
+    ids and shard sizes on the evaluation graphs fit comfortably, and
+    bounds below ``2**30`` (the sample ids of a whole sketch) take two
+    15-bit radix passes, low digit first.
 
     Examples
     --------
@@ -77,4 +79,10 @@ def stable_argsort(values: np.ndarray, bound: int) -> np.ndarray:
     """
     if 0 <= bound <= 32767:
         return np.argsort(values.astype(np.int16), kind="stable")
+    if 0 <= bound < 1 << 30:
+        low = np.argsort((values & 0x7FFF).astype(np.int16), kind="stable")
+        high = np.argsort(
+            (values[low] >> 15).astype(np.int16), kind="stable"
+        )
+        return low[high]
     return np.argsort(values, kind="stable")
