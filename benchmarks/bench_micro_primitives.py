@@ -27,6 +27,13 @@ shape of the ``edit-fleet`` benchmark workload (twitter-1.0, 12
 resident bit-parallel repairable campaigns, 2-edit batches on target
 in-edges): the snapshot, the asset triage and the one-pass repair of
 every dirty sketch, without the fleet's pipes.
+
+``test_micro_load_tsv`` times ``load_tag_graph`` on the twitter-1.0
+TSV that ``repro serve`` loads on the ``seed-serve`` workload: the
+chunked column parse plus one bulk build. ``test_micro_snapshot``
+times materializing one ``tag_set`` epoch of a ``MutableTagGraph``
+over the same graph: one rebuilt tag on the previous epoch's shared
+topology.
 """
 
 from __future__ import annotations
@@ -43,7 +50,12 @@ from repro.core.joint import JointConfig
 from repro.datasets import bfs_targets
 from repro.diffusion import simulate_cascade
 from repro.engine import SamplingEngine
-from repro.graphs import MutableTagGraph, TagSet
+from repro.graphs import (
+    MutableTagGraph,
+    TagSet,
+    load_tag_graph,
+    save_tag_graph,
+)
 from repro.index import make_lltrs_manager, make_ltrs_manager, theta_c
 from repro.index.itrs import sample_indexed_rr_sets
 from repro.serve import CampaignServer, ShardedCampaignService, WorkerSpec
@@ -330,3 +342,31 @@ def test_micro_edit_batch(benchmark):
                 server.find_seeds(targets, tags, 8, engine="trs", seed=seed)
             summary = benchmark(batch)
     assert summary["assets"]["repaired"] >= 1
+
+
+def test_micro_load_tsv(benchmark, tmp_path):
+    """Load the twitter-1.0 TSV: column parse plus one bulk build."""
+    graph = dataset("twitter", scale=1.0).graph
+    path = tmp_path / "twitter.tsv"
+    save_tag_graph(graph, path)
+    loaded = benchmark(load_tag_graph, path)
+    assert loaded == graph
+
+
+def test_micro_snapshot(benchmark):
+    """Materialize one ``tag_set`` epoch of the twitter-1.0 graph."""
+    graph = dataset("twitter", scale=1.0).graph
+    mutable = MutableTagGraph(graph)
+    rng = np.random.default_rng(4)
+    tags = graph.tags
+
+    def epoch():
+        mutable.apply([TagSet(
+            edge_id=int(rng.integers(graph.num_edges)),
+            tag=str(tags[int(rng.integers(len(tags)))]),
+            prob=float(rng.uniform(0.05, 0.3)),
+        )])
+        return mutable.snapshot()
+
+    snap = benchmark(epoch)
+    assert snap.reverse_csr()[1] is graph.reverse_csr()[1]

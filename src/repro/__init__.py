@@ -62,7 +62,11 @@ from repro.exceptions import (
     ServerClosedError,
     ServerOverloadedError,
 )
-from repro.graphs.builders import TagGraphBuilder, graph_from_quadruples
+from repro.graphs.builders import (
+    TagGraphBuilder,
+    graph_from_columns,
+    graph_from_quadruples,
+)
 from repro.graphs.io import load_tag_graph, save_tag_graph
 from repro.graphs.tag_graph import TagGraph
 from repro.seeds.api import SeedSelection, find_seeds
@@ -108,6 +112,7 @@ __all__ = [
     "estimate_spread_fraction",
     "find_seeds",
     "find_tags",
+    "graph_from_columns",
     "graph_from_quadruples",
     "jointly_select",
     "load_tag_graph",

@@ -12,7 +12,11 @@ from repro.graphs.aggregation import (
     independent_aggregation,
     topic_aggregation,
 )
-from repro.graphs.builders import TagGraphBuilder, graph_from_quadruples
+from repro.graphs.builders import (
+    TagGraphBuilder,
+    graph_from_columns,
+    graph_from_quadruples,
+)
 from repro.graphs.io import load_tag_graph, save_tag_graph
 from repro.graphs.mutable import (
     EdgeAdd,
@@ -41,6 +45,7 @@ __all__ = [
     "TopicModel",
     "edit_from_dict",
     "edits_from_dicts",
+    "graph_from_columns",
     "graph_from_quadruples",
     "graph_stats",
     "independent_aggregation",

@@ -181,16 +181,13 @@ class MutableTagGraph:
         # present here, everything else reads through to the base.
         self._tag_overlays: dict[str, dict[int, float]] = {}
         self._removed: set[int] = set()
-        # Snapshot cache: only the *current* epoch is held strongly, so
-        # superseded snapshots (and their shared-memory republications
-        # downstream) become collectable as soon as readers finish.
-        self._current_snapshot: TagGraph | None = base
-        # Per-tag arrays of the last materialized snapshot, plus the
-        # tags edited since: the next materialization rebuilds only
-        # those and shares every other tag's arrays by reference.
-        self._tag_arrays: dict[str, tuple[np.ndarray, np.ndarray]] = dict(
-            base._tag_probs
-        )
+        # Snapshot cache: only the newest materialized epoch is held
+        # strongly, so superseded snapshots (and their shared-memory
+        # republications downstream) become collectable as soon as
+        # readers finish. The next materialization rebuilds only the
+        # tags edited since and shares everything else with it.
+        self._snapshot: TagGraph = base
+        self._snapshot_epoch = self._base_epoch
         self._stale_tags: set[str] = set()
 
     # ------------------------------------------------------------------
@@ -292,7 +289,11 @@ class MutableTagGraph:
                         tag for tag, entry in overlays.items() if eid in entry
                     }
                     if eid < base_m:
-                        touched.update(self._base.edge_tag_map(eid))
+                        touched.update(
+                            tag
+                            for tag, (ids, _) in self._base._tag_probs.items()
+                            if eid in ids
+                        )
                     for tag in touched:
                         overlay_for(tag).pop(eid, None)
                     dirty.add(eid)
@@ -336,7 +337,6 @@ class MutableTagGraph:
             self._stale_tags |= touched_tags
             self._removed = removed
             self._layers.append(layer)
-            self._current_snapshot = None  # materialized lazily
             return epoch
 
     def compact(self) -> int:
@@ -355,8 +355,6 @@ class MutableTagGraph:
             self._src, self._dst = [], []
             self._tag_overlays = {}
             self._removed = set()
-            self._current_snapshot = snap
-            self._tag_arrays = dict(snap._tag_probs)
             return self._base_epoch
 
     # ------------------------------------------------------------------
@@ -389,35 +387,43 @@ class MutableTagGraph:
         return replay.snapshot()
 
     def _materialize_locked(self) -> TagGraph:
-        if self._current_snapshot is not None:
-            return self._current_snapshot
-        base = self._base
-        if self._src:
-            src = np.concatenate(
-                [base.src, np.array(self._src, dtype=np.int64)]
-            )
-            dst = np.concatenate(
-                [base.dst, np.array(self._dst, dtype=np.int64)]
-            )
-        else:
-            src, dst = base.src, base.dst
-        # Untouched tags keep the previous snapshot's arrays by reference.
-        tag_probs = dict(self._tag_arrays)
+        prev = self._snapshot
+        if self._snapshot_epoch == self.epoch:
+            return prev
+        changes: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
         for tag in self._stale_tags:
             overlay = self._tag_overlays[tag]
             if not overlay:
-                tag_probs.pop(tag, None)  # cleared: leaves the vocabulary
+                changes[tag] = None  # cleared: leaves the vocabulary
                 continue
             ids = np.fromiter(overlay, dtype=np.int64, count=len(overlay))
             probs = np.fromiter(
                 overlay.values(), dtype=np.float64, count=len(overlay)
             )
             order = np.argsort(ids)
-            tag_probs[tag] = (ids[order], probs[order])
-        snap = TagGraph(base.num_nodes, src, dst, tag_probs)
-        self._tag_arrays = tag_probs
+            changes[tag] = (ids[order], probs[order])
+        if prev.num_edges == self.num_edges:
+            # No edge appended since ``prev`` (removals keep their ids):
+            # share its topology and validate only the rebuilt tags.
+            snap = prev.retagged(changes)
+        else:
+            base = self._base
+            src = np.concatenate(
+                [base.src, np.array(self._src, dtype=np.int64)]
+            )
+            dst = np.concatenate(
+                [base.dst, np.array(self._dst, dtype=np.int64)]
+            )
+            tag_probs = dict(prev._tag_probs)
+            for tag, arrays in changes.items():
+                if arrays is None:
+                    tag_probs.pop(tag, None)
+                else:
+                    tag_probs[tag] = arrays
+            snap = TagGraph(base.num_nodes, src, dst, tag_probs)
+        self._snapshot = snap
+        self._snapshot_epoch = self.epoch
         self._stale_tags = set()
-        self._current_snapshot = snap
         return snap
 
     def dirty_edges(

@@ -93,7 +93,7 @@ def _check_tag_arrays(
             raise GraphConstructionError(
                 f"tag {tag!r}: duplicate edge ids in tag assignment"
             )
-        if (ps <= 0.0).any() or (ps > 1.0).any():
+        if not ((ps > 0.0) & (ps <= 1.0)).all():  # NaN fails too
             raise GraphConstructionError(
                 f"tag {tag!r}: probabilities must lie in (0, 1]"
             )
@@ -156,6 +156,10 @@ class TagGraph:
 
         self._fwd_indptr, self._fwd_edges = _build_csr(self._src, self._n)
         self._rev_indptr, self._rev_edges = _build_csr(self._dst, self._n)
+        self._init_memos()
+
+    def _init_memos(self) -> None:
+        """Reset every cache derived from the per-tag arrays."""
         self._edge_tag_maps: list[dict[str, float]] | None = None
         self._edge_tag_neglogs: list[TagCosts] | None = None
         self._forward_arcs: list[tuple[Arc, ...]] | None = None
@@ -169,6 +173,50 @@ class TagGraph:
         self._prob_cache_hits = 0
         self._prob_cache_misses = 0
         self._prob_cache_evictions = 0
+
+    def retagged(
+        self,
+        changes: Mapping[str, tuple[np.ndarray, np.ndarray] | None],
+    ) -> "TagGraph":
+        """A new graph on this graph's topology with some tags replaced.
+
+        ``changes`` maps a tag to its new ``(edge_ids, probs)`` arrays,
+        or to ``None`` to drop it from the vocabulary; every other tag
+        keeps this graph's arrays. The new graph shares ``src``/``dst``
+        and both CSR adjacencies with this one, and only the changed
+        tags are validated: the rest were checked against the same
+        edge count when this graph was built.
+
+        Examples
+        --------
+        >>> g = TagGraph(3, [0, 1], [1, 2], {"a": ([0, 1], [0.5, 0.5])})
+        >>> h = g.retagged({"b": (np.array([1]), np.array([0.25]))})
+        >>> h.tags, h.reverse_csr()[1] is g.reverse_csr()[1]
+        (('a', 'b'), True)
+        """
+        tag_probs = dict(self._tag_probs)
+        updated: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for tag, arrays in changes.items():
+            if arrays is None:
+                tag_probs.pop(tag, None)
+                continue
+            ids, ps = arrays
+            updated[tag] = (
+                np.asarray(ids, dtype=np.int64),
+                np.asarray(ps, dtype=np.float64),
+            )
+        m = self.num_edges
+        if not _tag_arrays_valid(updated, m):
+            for tag, (ids, ps) in sorted(updated.items()):
+                _check_tag_arrays(tag, ids, ps, m)
+        tag_probs.update(updated)
+        graph = object.__new__(type(self))
+        graph._n, graph._src, graph._dst = self._n, self._src, self._dst
+        graph._fwd_indptr, graph._fwd_edges = self._fwd_indptr, self._fwd_edges
+        graph._rev_indptr, graph._rev_edges = self._rev_indptr, self._rev_edges
+        graph._tag_probs = dict(sorted(tag_probs.items()))
+        graph._init_memos()
+        return graph
 
     # ------------------------------------------------------------------
     # Pickling (process-pool fan-out ships graphs to workers)

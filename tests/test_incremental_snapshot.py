@@ -2,11 +2,14 @@
 
 :meth:`MutableTagGraph.snapshot` rebuilds only the tags edited since the
 previous materialization and shares every other tag's arrays by
-reference. The property here: after random edit sequences — including
-a ``tag_unset`` run that empties a tag out of the vocabulary and a
-``compact()`` — the current snapshot equals a ``TagGraph`` built from
-scratch out of a plain-dict model of the edits, at every epoch, and so
-does the replay path ``snapshot(epoch)`` for every retained epoch.
+reference; when no edge was appended it also shares the topology
+(``src``/``dst`` and both CSR adjacencies) through
+:meth:`TagGraph.retagged`, which validates only the rebuilt tags. The
+property here: after random edit sequences — including a ``tag_unset``
+run that empties a tag out of the vocabulary and a ``compact()`` — the
+current snapshot equals a ``TagGraph`` built from scratch out of a
+plain-dict model of the edits, at every epoch, and so does the replay
+path ``snapshot(epoch)`` for every retained epoch.
 
 ``TagGraph`` validates all tags in one vectorized pass and falls back
 to the per-tag checks only on failure, so the error still names the
@@ -120,6 +123,12 @@ def assert_same_graph(got: TagGraph, want: TagGraph) -> None:
             np.testing.assert_array_equal(g_arr, w_arr)
 
 
+def topology(graph: TagGraph) -> list[np.ndarray]:
+    """The arrays a snapshot without appended edges shares."""
+    return [graph.src.base, graph.dst.base, *graph.forward_csr(),
+            *graph.reverse_csr()]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -145,6 +154,12 @@ def test_snapshot_equals_from_scratch_at_every_epoch(
             previous = mutable.snapshot()
             mutable.apply(edits)
             snap = mutable.snapshot()
+            # Topology is shared unless the batch appended an edge.
+            added = any(isinstance(e, EdgeAdd) for e in edits)
+            shared = [
+                a is b for a, b in zip(topology(previous), topology(snap))
+            ]
+            assert shared == [not added] * len(shared)
             if all(isinstance(e, (TagSet, TagUnset)) for e in edits):
                 touched = {e.tag for e in edits}
                 for tag in set(previous.tags) & set(snap.tags) - touched:
@@ -186,10 +201,11 @@ GOOD = {"ok": ([0, 1], [0.5, 0.5]), "zz": ([2], [1.0])}
     (([-1], [0.2]), "edge ids outside [0, 3)"),
     (([0], [0.0]), "probabilities must lie in (0, 1]"),
     (([0], [1.5]), "probabilities must lie in (0, 1]"),
+    (([0], [float("nan")]), "probabilities must lie in (0, 1]"),
     (([0, 1], [0.2]), "must be 1-D and equal length"),
     (([[0, 1]], [[0.2, 0.3]]), "must be 1-D and equal length"),
 ], ids=["duplicate", "above-range", "negative", "prob-zero",
-        "prob-above-one", "shape-mismatch", "two-dimensional"])
+        "prob-above-one", "prob-nan", "shape-mismatch", "two-dimensional"])
 def test_invalid_tag_is_named(bad, message):
     with pytest.raises(GraphConstructionError) as exc:
         TagGraph(3, [0, 1, 2], [1, 2, 0], {**GOOD, "mid": bad})
@@ -214,3 +230,52 @@ def test_unsorted_ids_and_shared_edges_are_valid():
     })
     assert graph.tags == ("a", "b", "c")
     assert graph.tag_edges("a")[0].tolist() == [2, 0, 1]
+
+
+# ----------------------------------------------------------------------
+# Shared topology: retagged() and edge removal
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad, message", [
+    (([1, 1], [0.2, 0.3]), "duplicate edge ids"),
+    (([3], [0.2]), "edge ids outside [0, 3)"),
+    (([0], [0.0]), "probabilities must lie in (0, 1]"),
+    (([0], [float("nan")]), "probabilities must lie in (0, 1]"),
+    (([0, 1], [0.2]), "must be 1-D and equal length"),
+], ids=["duplicate", "above-range", "prob-zero", "prob-nan",
+        "shape-mismatch"])
+def test_retagged_rejects_a_bad_rebuilt_tag(bad, message):
+    graph = TagGraph(3, [0, 1, 2], [1, 2, 0], GOOD)
+    with pytest.raises(GraphConstructionError) as exc:
+        graph.retagged({"ok": ([0], [0.5]), "mid": bad})
+    assert str(exc.value).startswith("tag 'mid': ")
+    assert message in str(exc.value)
+
+
+def test_retagged_shares_topology_and_untouched_tags():
+    graph = TagGraph(3, [0, 1, 2], [1, 2, 0], GOOD)
+    graph.edge_tag_map(0)  # a memo the new graph must not inherit
+    new = graph.retagged({"ok": None, "new": ([2, 0], [0.25, 1.0])})
+    assert new.tags == ("new", "zz")
+    assert new.tag_edges("zz")[0].base is graph.tag_edges("zz")[0].base
+    assert all(a is b for a, b in zip(topology(new), topology(graph)))
+    assert new.edge_tag_map(0) == {"new": 1.0}
+    assert new == TagGraph(3, [0, 1, 2], [1, 2, 0], {
+        "new": ([2, 0], [0.25, 1.0]), "zz": ([2], [1.0]),
+    })
+
+
+def test_edge_remove_reads_the_base_tag_arrays():
+    graph = TagGraph(3, [0, 1, 2], [1, 2, 0], {
+        "a": ([2, 0], [0.1, 0.2]), "b": ([1], [0.3]), "c": ([0], [0.4]),
+    })
+    mutable = MutableTagGraph(graph)
+    mutable.apply([EdgeRemove(edge_id=0)])
+    # No per-edge tag dicts were built for the whole base graph.
+    assert graph._edge_tag_maps is None
+    snap = mutable.snapshot()
+    assert snap.tags == ("a", "b")
+    assert snap.tag_edges("a")[0].tolist() == [2]
+    # "b" never held edge 0, so it keeps the base arrays.
+    assert snap.tag_edges("b")[0].base is graph.tag_edges("b")[0].base
