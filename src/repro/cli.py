@@ -114,23 +114,11 @@ def _parse_tags(text: str) -> list[str]:
 
 
 def _make_sampler(args: argparse.Namespace):
-    """Build a ``SamplingEngine`` from the sampler/runtime flags, or None.
-
-    ``--retries``, ``--checkpoint-dir`` or ``--workers N`` (N > 1)
-    without an explicit ``--sampler`` implies the bit-parallel engine —
-    the runtime layer and the worker pool live on the engine, so asking
-    for them opts in.
-    """
-    mode = getattr(args, "sampler", None)
-    retries = getattr(args, "retries", None)
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    workers = getattr(args, "workers", 1)
-    if mode is None:
-        if retries is None and checkpoint_dir is None and workers <= 1:
-            return None
-        mode = "bitparallel"
+    """The run's ``SamplingEngine``, from ``--workers``, ``--retries``
+    and ``--checkpoint-dir``."""
     from repro.engine.parallel import SamplingEngine
 
+    checkpoint_dir = getattr(args, "checkpoint_dir", None)
     checkpoint = None
     if checkpoint_dir is not None:
         from repro.engine.checkpoint import CheckpointManager
@@ -139,8 +127,7 @@ def _make_sampler(args: argparse.Namespace):
             checkpoint_dir, resume=bool(getattr(args, "resume", False))
         )
     return SamplingEngine(
-        mode=mode,
-        workers=workers,
+        workers=getattr(args, "workers", 1),
         retry_policy=_make_retry_policy(args),
         checkpoint=checkpoint,
     )
@@ -167,13 +154,8 @@ def _make_budget(args: argparse.Namespace):
     return RunBudget(wall_seconds=deadline, max_samples=max_samples)
 
 
-def _sampler_scope(sampler):
-    """Context manager guaranteeing pool shutdown even on errors."""
-    return sampler if sampler is not None else contextlib.nullcontext()
-
-
 def _print_runtime_summary(sampler) -> None:
-    summary = None if sampler is None else sampler.telemetry.summary()
+    summary = sampler.telemetry.summary()
     if summary and summary != "clean":
         print(f"runtime: {summary}")
 
@@ -205,33 +187,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sampler(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--sampler",
-            choices=("scalar", "bitparallel"),
-            default=None,
-            help=(
-                "sampling substrate: 'bitparallel' packs 64 possible "
-                "worlds per machine word, 'scalar' runs the reference "
-                "loops through the engine; default keeps the scalar "
-                "library path unless --workers, --retries or "
-                "--checkpoint-dir ask for the engine"
-            ),
-        )
-        p.add_argument(
             "--workers", type=int, default=1,
             help=(
                 "worker processes (default 1): for seeds, joint, "
-                "spread and compare the sampling-engine pool size "
-                "(N > 1 implies --sampler bitparallel; workers share "
-                "the graph via shared memory); for serve the size of "
-                "the sharded fleet"
+                "spread and compare the bit-parallel sampling engine's "
+                "pool size (workers share the graph via shared "
+                "memory; answers are identical for any N); for serve "
+                "the size of the sharded fleet"
             ),
         )
         p.add_argument(
             "--retries", type=int, default=None,
             help=(
-                "retries per shard for transient failures (implies "
-                "--sampler bitparallel; engine default is 2); on serve "
-                "--workers N every worker's engine retries"
+                "retries per shard for transient failures (engine "
+                "default is 2); on serve --workers N every worker's "
+                "engine retries"
             ),
         )
         p.add_argument(
@@ -248,9 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--checkpoint-dir", default=None,
             help=(
-                "directory for shard-granular checkpoints (implies "
-                "--sampler bitparallel); not accepted by serve, whose "
-                "per-query sampling never checkpoints"
+                "directory for shard-granular checkpoints; not accepted "
+                "by serve, whose per-query sampling never checkpoints"
             ),
         )
         p.add_argument(
@@ -652,8 +621,7 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 def _cmd_seeds(args: argparse.Namespace) -> int:
     graph = load_tag_graph(args.graph)
     targets = _read_targets(args.targets_file)
-    sampler = _make_sampler(args)
-    with _sampler_scope(sampler):
+    with _make_sampler(args) as sampler:
         selection = find_seeds(
             graph, targets, _parse_tags(args.tags), args.k,
             engine=args.engine, config=SketchConfig(), rng=args.seed,
@@ -681,8 +649,7 @@ def _cmd_joint(args: argparse.Namespace) -> int:
     graph = load_tag_graph(args.graph)
     targets = _read_targets(args.targets_file)
     query = JointQuery(targets, k=args.k, r=args.r)
-    sampler = _make_sampler(args)
-    with _sampler_scope(sampler):
+    with _make_sampler(args) as sampler:
         if args.baseline:
             result = baseline_greedy(
                 graph, query, BaselineConfig(), rng=args.seed
@@ -703,8 +670,7 @@ def _cmd_joint(args: argparse.Namespace) -> int:
 def _cmd_spread(args: argparse.Namespace) -> int:
     graph = load_tag_graph(args.graph)
     targets = _read_targets(args.targets_file)
-    sampler = _make_sampler(args)
-    with _sampler_scope(sampler):
+    with _make_sampler(args) as sampler:
         value = estimate_spread(
             graph, _parse_nodes(args.seeds), targets, _parse_tags(args.tags),
             num_samples=args.samples, rng=args.seed,
@@ -721,8 +687,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     graph = load_tag_graph(args.graph)
     targets = _read_targets(args.targets_file)
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    sampler = _make_sampler(args)
-    with _sampler_scope(sampler):
+    with _make_sampler(args) as sampler:
         reports = compare_seed_engines(
             graph, targets, _parse_tags(args.tags), args.k,
             engines=engines, rng=args.seed, sampler=sampler,
@@ -827,7 +792,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # Worker engines run single-process (the fleet IS the parallelism).
     workers = int(getattr(args, "workers", 1) or 1)
     sharded = workers > 1
-    sampler = None
     # The server settings both kinds share; a fleet hands them to every
     # worker's CampaignServer.
     settings = dict(
@@ -844,16 +808,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if sharded:
         from repro.serve import ShardedCampaignService, WorkerSpec
 
-        # As in-process, --retries without --sampler implies the
-        # bit-parallel engine, whose runtime layer does the retrying.
-        retry_policy = _make_retry_policy(args)
-        engine_mode = getattr(args, "sampler", None)
-        if engine_mode is None and retry_policy is not None:
-            engine_mode = "bitparallel"
         spec = WorkerSpec(
-            engine_mode=engine_mode,
             chaos=_chaos_kwargs(args),
-            retry_policy=retry_policy,
+            retry_policy=_make_retry_policy(args),
             **settings,
         )
         server = ShardedCampaignService(
@@ -866,9 +823,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     else:
-        sampler = _make_sampler(args)
+        # A serial engine (serve takes no --checkpoint-dir): it owns no
+        # pool or shared segment, so nothing to close after serving.
         server = CampaignServer(
-            graph, sampler=sampler, chaos=_make_chaos(args),
+            graph, sampler=_make_sampler(args), chaos=_make_chaos(args),
             tracing=args.trace is not None, **settings,
         )
     merge_events = None
@@ -893,97 +851,96 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
     telemetry = None
     handled = 0
-    with _sampler_scope(sampler):
-        try:
-            if args.listen is not None:
-                from repro.obs.live import start_live_telemetry
+    try:
+        if args.listen is not None:
+            from repro.obs.live import start_live_telemetry
 
-                telemetry = start_live_telemetry(
-                    server,
-                    listen=args.listen,
-                    interval=args.telemetry_interval,
-                    window_seconds=args.telemetry_window,
-                    slo_target=args.slo_target,
-                )
-                print(
-                    f"telemetry: listening on {telemetry.url}",
-                    file=sys.stderr,
-                )
-            if args.warm_index:
-                tags = (
-                    None if args.warm_index.strip() == "all"
-                    else _parse_tags(args.warm_index)
-                )
-                built = server.warm_index(tags)
-                print(
-                    f"warm-index: froze {len(built)} tag indexes",
-                    file=sys.stderr,
-                )
-            if args.warm:
-                requests = json.loads(
-                    Path(args.warm).read_text(encoding="utf-8")
-                )
-                warmed = warm(server, requests)
-                stats = server.cache_stats()
-                print(
-                    f"warm: executed {warmed} requests "
-                    f"({stats.entries} assets, {stats.bytes} bytes cached)",
-                    file=sys.stderr,
-                )
-            handled = serve_stdio(server)
-        finally:
-            if telemetry is not None:
-                telemetry.close()
-            # The stitched trace, the merged fleet event stream and the
-            # fleet metrics all round-trip to the workers, so they must
-            # be captured while the fleet is still up — before close().
-            # Each capture has its own try: one failing skips no other.
-            trace_events = metrics_snapshot = events_written = None
-            if args.trace is not None:
-                try:
-                    trace_events = server.chrome_trace()
-                except Exception as exc:  # pragma: no cover - teardown race
-                    print(f"trace drain failed: {exc}", file=sys.stderr)
-                    trace_events = []
-            if merge_events is not None:
-                try:
-                    events_written = merge_events()
-                except Exception as exc:  # pragma: no cover - teardown race
-                    print(f"event merge failed: {exc}", file=sys.stderr)
-            if args.metrics_out is not None:
-                try:
-                    metrics_snapshot = server.metrics_payload()
-                except Exception as exc:  # pragma: no cover - teardown race
-                    print(f"metrics capture failed: {exc}", file=sys.stderr)
-            server.close()
-            if trace_events is not None:
-                Path(args.trace).write_text(
-                    json.dumps(trace_events, indent=2), encoding="utf-8"
-                )
-                print(
-                    f"wrote {len(trace_events)} trace events to "
-                    f"{args.trace}",
-                    file=sys.stderr,
-                )
-            # close() flushed the event sink; closing the log also
-            # releases a --events-out file so even the SIGTERM path
-            # leaves a complete JSONL behind.
-            if args.events_out is not None and merge_events is None:
-                events_written = server.events.total
-            server.events.close()
-            if events_written is not None:
-                print(
-                    f"wrote {events_written} events to {args.events_out}",
-                    file=sys.stderr,
-                )
-            if metrics_snapshot is not None:
-                Path(args.metrics_out).write_text(
-                    json.dumps(metrics_snapshot, indent=2), encoding="utf-8"
-                )
-                print(
-                    f"wrote serve metrics to {args.metrics_out}",
-                    file=sys.stderr,
-                )
+            telemetry = start_live_telemetry(
+                server,
+                listen=args.listen,
+                interval=args.telemetry_interval,
+                window_seconds=args.telemetry_window,
+                slo_target=args.slo_target,
+            )
+            print(
+                f"telemetry: listening on {telemetry.url}",
+                file=sys.stderr,
+            )
+        if args.warm_index:
+            tags = (
+                None if args.warm_index.strip() == "all"
+                else _parse_tags(args.warm_index)
+            )
+            built = server.warm_index(tags)
+            print(
+                f"warm-index: froze {len(built)} tag indexes",
+                file=sys.stderr,
+            )
+        if args.warm:
+            requests = json.loads(
+                Path(args.warm).read_text(encoding="utf-8")
+            )
+            warmed = warm(server, requests)
+            stats = server.cache_stats()
+            print(
+                f"warm: executed {warmed} requests "
+                f"({stats.entries} assets, {stats.bytes} bytes cached)",
+                file=sys.stderr,
+            )
+        handled = serve_stdio(server)
+    finally:
+        if telemetry is not None:
+            telemetry.close()
+        # The stitched trace, the merged fleet event stream and the
+        # fleet metrics all round-trip to the workers, so they must
+        # be captured while the fleet is still up — before close().
+        # Each capture has its own try: one failing skips no other.
+        trace_events = metrics_snapshot = events_written = None
+        if args.trace is not None:
+            try:
+                trace_events = server.chrome_trace()
+            except Exception as exc:  # pragma: no cover - teardown race
+                print(f"trace drain failed: {exc}", file=sys.stderr)
+                trace_events = []
+        if merge_events is not None:
+            try:
+                events_written = merge_events()
+            except Exception as exc:  # pragma: no cover - teardown race
+                print(f"event merge failed: {exc}", file=sys.stderr)
+        if args.metrics_out is not None:
+            try:
+                metrics_snapshot = server.metrics_payload()
+            except Exception as exc:  # pragma: no cover - teardown race
+                print(f"metrics capture failed: {exc}", file=sys.stderr)
+        server.close()
+        if trace_events is not None:
+            Path(args.trace).write_text(
+                json.dumps(trace_events, indent=2), encoding="utf-8"
+            )
+            print(
+                f"wrote {len(trace_events)} trace events to "
+                f"{args.trace}",
+                file=sys.stderr,
+            )
+        # close() flushed the event sink; closing the log also
+        # releases a --events-out file so even the SIGTERM path
+        # leaves a complete JSONL behind.
+        if args.events_out is not None and merge_events is None:
+            events_written = server.events.total
+        server.events.close()
+        if events_written is not None:
+            print(
+                f"wrote {events_written} events to {args.events_out}",
+                file=sys.stderr,
+            )
+        if metrics_snapshot is not None:
+            Path(args.metrics_out).write_text(
+                json.dumps(metrics_snapshot, indent=2), encoding="utf-8"
+            )
+            print(
+                f"wrote serve metrics to {args.metrics_out}",
+                file=sys.stderr,
+            )
     print(f"served {handled} requests", file=sys.stderr)
     return 0
 

@@ -26,7 +26,7 @@ from repro.core.initialization import (
 )
 from repro.core.problem import HistoryEntry, JointQuery, JointResult
 from repro.diffusion.monte_carlo import estimate_spread
-from repro.engine.parallel import SamplingEngine
+from repro.engine.parallel import SamplingEngine, resolve_engine
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.graphs.tag_graph import TagGraph
 from repro.index.itrs import make_lltrs_manager, make_ltrs_manager
@@ -68,11 +68,8 @@ class JointConfig:
     tag_config:
         Path-enumeration / tag-selection knobs.
     eval_samples:
-        IC cascades behind each per-half-iteration history spread. They
-        run on the bit-parallel cascade kernel: through the ``sampler``
-        when one is given, otherwise on an in-process serial
-        bit-parallel engine built for the call (the same key
-        derivation, so both give bit-identical histories).
+        IC cascades behind each per-half-iteration history spread, run
+        on the ``sampler``'s bit-parallel cascade kernel.
     eliminate_fraction:
         When below 1.0, the tag search space is first reduced to this
         fraction by frequency (Section 5.3's elimination); 1.0 disables.
@@ -152,16 +149,11 @@ def jointly_select(
     Parameters
     ----------
     sampler:
-        Optional :class:`~repro.engine.SamplingEngine`; the seed steps
-        and the per-half-iteration spread measurements then run on the
-        fault-tolerant sampling substrate (with whatever retry policy,
-        fault plan, and checkpointing the engine was built with).
-        ``None`` measures the history, and runs the index engines'
-        OPT_T pilot, on an in-process serial bit-parallel engine built
-        for this call: with an index seed engine the result equals the
-        one ``SamplingEngine("bitparallel", workers=1)`` gives, bit for
-        bit. Only a ``"trs"``/``"imm"``/``"greedy-mc"`` seed step stays
-        on the scalar path.
+        The :class:`~repro.engine.SamplingEngine` the seed steps and
+        the per-half-iteration spread measurements run on (with
+        whatever retry policy, fault plan, and checkpointing it was
+        built with). ``None`` means a fresh serial engine for this
+        call; the result is bit-identical to any explicit engine's.
     budget:
         Optional :class:`~repro.engine.RunBudget` spanning the whole
         run. A tripped limit raises
@@ -169,6 +161,7 @@ def jointly_select(
         is a :class:`JointResult` with the best snapshot reached so far.
     """
     rng = ensure_rng(rng)
+    sampler = resolve_engine(sampler)
     query.validate(graph)
     targets = query.targets
 
@@ -209,20 +202,13 @@ def jointly_select(
                         graph, query.r, universe=universe, rng=rng
                     )
 
-            # A fresh engine per call: engines count operations, so one
-            # must never be shared across concurrent queries.
-            history_engine = (
-                sampler if sampler is not None
-                else SamplingEngine(mode="bitparallel", workers=1)
-            )
-
             def measure(s: tuple[int, ...], c: tuple[str, ...]) -> float:
                 if not c:
                     return 0.0
                 return estimate_spread(
                     graph, s, targets, c,
                     num_samples=config.eval_samples, rng=rng,
-                    engine=history_engine, budget=budget,
+                    engine=sampler, budget=budget,
                 )
 
             spread = measure(seeds, tags)
@@ -305,9 +291,7 @@ def jointly_select(
         rounds=rounds,
         converged=converged,
         elapsed_seconds=timer.elapsed,
-        telemetry=(
-            sampler.telemetry.as_dict() if sampler is not None else None
-        ),
+        telemetry=sampler.telemetry.as_dict(),
         report=obs.snapshot_report(),
     )
 
@@ -317,7 +301,7 @@ def _partial_joint_result(
     history: list[HistoryEntry],
     rounds: int,
     elapsed: float,
-    sampler: "SamplingEngine | None",
+    sampler: SamplingEngine,
 ) -> JointResult:
     """Best-effort :class:`JointResult` when the budget stops a run."""
     if best is None:
@@ -334,7 +318,5 @@ def _partial_joint_result(
         rounds=rounds,
         converged=False,
         elapsed_seconds=elapsed,
-        telemetry=(
-            sampler.telemetry.as_dict() if sampler is not None else None
-        ),
+        telemetry=sampler.telemetry.as_dict(),
     )

@@ -83,9 +83,9 @@ class JointResult:
     elapsed_seconds:
         Total wall-clock time.
     telemetry:
-        Runtime failure counters (shards retried, pool rebuilds,
-        checkpoint writes, ...) when a fault-tolerant sampler ran the
-        sub-solvers; ``None`` on the scalar path.
+        Runtime counters (shards run and retried, pool rebuilds,
+        checkpoint writes, ...) of the sampler that ran the
+        sub-solvers.
     report:
         Observability report (metrics + trace + phases) when the run
         happened inside an :func:`repro.obs.observe` scope; ``None``

@@ -18,7 +18,7 @@ from repro import obs
 from repro.core.joint import JointConfig, jointly_select
 from repro.core.problem import JointQuery, JointResult
 from repro.diffusion.monte_carlo import estimate_spread
-from repro.engine.parallel import SamplingEngine
+from repro.engine.parallel import SamplingEngine, resolve_engine
 from repro.engine.runtime import RunBudget
 from repro.graphs.tag_graph import TagGraph
 from repro.index.itrs import make_lltrs_manager, make_ltrs_manager
@@ -42,10 +42,12 @@ class CampaignSession:
         One seed/generator for the whole session — successive queries
         consume one stream, so a session is replayable end to end.
     sampler:
-        Optional :class:`~repro.engine.SamplingEngine` shared by every
+        The :class:`~repro.engine.SamplingEngine` shared by every
         query of the session: seed selections sample RR sets and spread
-        checks run cascades through it (bit-parallel, and sharded
-        across its worker pool when ``workers > 1``). The determinism
+        checks run cascades through it (sharded across its worker pool
+        when ``workers > 1``). ``None`` gives the session its own
+        serial engine; session queries run one at a time, so it is
+        never shared across concurrent queries. The determinism
         contract carries over — a session with a fixed seed replays
         identically for any worker count. A sampler built with a
         :class:`~repro.engine.RetryPolicy`, :class:`FaultPlan`, or
@@ -63,7 +65,7 @@ class CampaignSession:
         self._graph = graph
         self._config = config
         self._rng = ensure_rng(rng)
-        self._sampler = sampler
+        self._sampler = resolve_engine(sampler)
         self._shared_manager: IndexManager | None = None
         self._local_managers: dict[tuple[int, ...], IndexManager] = {}
         self._server = None
@@ -182,8 +184,8 @@ class CampaignSession:
     ) -> JointResult:
         """Full Algorithm 2 for one target set.
 
-        Runs on the session's sampler when one was given, so a sampler
-        built with a checkpoint manager makes the whole joint run
+        Runs on the session's sampler, so a sampler built with a
+        checkpoint manager makes the whole joint run
         resumable: replaying the same session (same graph, seed, and
         query sequence) with ``resume=True`` splices the checkpointed
         shard prefixes back in and provably yields the same seeds.
@@ -240,10 +242,8 @@ class CampaignSession:
         return self._shared_manager.indexed_tags
 
     @property
-    def telemetry(self) -> dict | None:
-        """The sampler's cumulative runtime counters (``None`` scalar)."""
-        if self._sampler is None:
-            return None
+    def telemetry(self) -> dict:
+        """The sampler's cumulative runtime counters."""
         return self._sampler.telemetry.as_dict()
 
     @property
@@ -263,8 +263,7 @@ class CampaignSession:
             f"CampaignSession(graph={self._graph!r}, "
             f"queries_run={self.queries_run}"
         )
-        if self._sampler is not None:
-            summary = self._sampler.telemetry.summary()
-            if summary:
-                return f"{base}, runtime=[{summary}])"
+        summary = self._sampler.telemetry.summary()
+        if summary:
+            return f"{base}, runtime=[{summary}])"
         return base + ")"

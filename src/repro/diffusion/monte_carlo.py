@@ -1,8 +1,8 @@
 """Monte-Carlo estimation of the targeted influence spread ``σ(S, T, C1)``.
 
-Each sample runs one lazy-coin IC cascade from the seed set and counts
-activated targets; the estimate is the sample mean (Eq. 5 by the
-law of large numbers).
+Each sample runs one IC cascade from the seed set, in the bit-parallel
+cascade kernel of :mod:`repro.engine`, and counts activated targets;
+the estimate is the sample mean (Eq. 5 by the law of large numbers).
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import obs
-from repro.diffusion.cascade import simulate_cascade
-from repro.exceptions import BudgetExceededError, InvalidQueryError
+from repro.engine.parallel import resolve_engine
+from repro.exceptions import InvalidQueryError
 from repro.graphs.tag_graph import TagGraph
-from repro.utils.rng import ensure_rng
 from repro.utils.validation import as_target_array, check_node_ids, check_tags_exist
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -70,9 +68,9 @@ def estimate_spread(
         analogue of ``edge_probs``. When given, ``targets`` may be
         ``None`` and no per-call target validation or sorting happens.
     engine:
-        Optional :class:`~repro.engine.SamplingEngine`: cascades are
-        then simulated through the engine (and sharded across processes
-        for ``workers > 1``) instead of one scalar BFS per sample.
+        The :class:`~repro.engine.SamplingEngine` that simulates the
+        cascades (sharded across processes for ``workers > 1``);
+        ``None`` means a fresh serial one.
     budget:
         Optional :class:`~repro.engine.RunBudget`. A tripped limit
         raises :class:`~repro.exceptions.BudgetExceededError` whose
@@ -88,7 +86,6 @@ def estimate_spread(
         raise InvalidQueryError(
             f"num_samples must be positive, got {num_samples}"
         )
-    rng = ensure_rng(rng)
     seed_list = [int(s) for s in seeds]
     check_node_ids(seed_list, graph.num_nodes, context="estimate_spread")
     check_tags_exist(tags, graph.tags)
@@ -117,34 +114,15 @@ def estimate_spread(
     if not seed_list:
         return 0.0
 
-    if engine is not None:
-        return engine.estimate_spread(
-            graph,
-            np.array(sorted(set(seed_list)), dtype=np.int64),
-            edge_probs,
-            num_samples,
-            target_arr,
-            rng,
-            budget=budget,
-        )
-
-    if budget is not None:
-        budget.charge_samples(num_samples, partial=0.0)
-    total = 0
-    for done in range(1, num_samples + 1):
-        active = simulate_cascade(graph, seed_list, edge_probs, rng)
-        total += int(active[target_arr].sum())
-        if budget is not None and done < num_samples:
-            try:
-                budget.check()
-            except BudgetExceededError as exc:
-                # Same counter name as the engine driver: on any path,
-                # cascade.samples_drawn equals cascades actually run.
-                obs.count("cascade.samples_drawn", done)
-                exc.partial = total / done
-                raise
-    obs.count("cascade.samples_drawn", num_samples)
-    return total / num_samples
+    return resolve_engine(engine).estimate_spread(
+        graph,
+        np.array(sorted(set(seed_list)), dtype=np.int64),
+        edge_probs,
+        num_samples,
+        target_arr,
+        rng,
+        budget=budget,
+    )
 
 
 def estimate_spread_fraction(

@@ -32,10 +32,11 @@ On top of the fan-out sits the fault-tolerant runtime:
   kills, pool poisoning, interrupts) used to exercise every recovery
   path in tests.
 
-The scalar implementations in :mod:`repro.sketch` and
-:mod:`repro.diffusion` remain the correctness oracle; pass a
-``SamplingEngine`` through the ``engine=`` knobs of the high-level APIs
-to opt into this layer.
+Every high-level API samples through this layer. Its ``engine=`` (or
+``sampler=``) knob takes a ``SamplingEngine`` for a pool, retries or
+checkpoints; ``None`` means a fresh serial engine for the call. The
+scalar traversals in :mod:`repro.sketch` and :mod:`repro.diffusion`
+remain the tests' correctness oracle.
 """
 
 from repro.engine.checkpoint import CheckpointManager, rng_state_digest

@@ -25,11 +25,13 @@ Results are concatenated in shard order. Consequences:
 * successive calls on one engine with a shared generator consume the
   generator's spawn counter, so a session remains replayable end to end.
 
-The ``mode`` knob selects the per-shard kernel: ``"bitparallel"`` (the
-default) packs 64 possible worlds per uint64 word with counter-based
-coins (:mod:`repro.engine.bitworld`); ``"scalar"`` runs the original
-per-edge Python loops (the correctness oracle), which keeps cross-mode
-comparisons honest under the identical sharding and driver overheads.
+Every shard runs the bit-parallel kernel, which packs 64 possible
+worlds per uint64 word with counter-based coins
+(:mod:`repro.engine.bitworld`). The scalar traversals
+(:func:`repro.sketch.reverse_reachable_set`,
+:func:`repro.diffusion.simulate_cascade`) are its test oracles, not an
+engine mode. Passing no engine to a public sampling entry point means
+a fresh serial engine for that call (:func:`resolve_engine`).
 
 Multi-worker bit-parallel engines do not pickle the graph into shard
 tasks. The engine publishes each graph's CSR arrays once through
@@ -73,7 +75,8 @@ from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.graphs.tag_graph import TagGraph
 from repro.utils.rng import ensure_rng, spawn_seed_sequences
 
-MODES = ("scalar", "bitparallel")
+#: The one kernel. ``SamplingEngine(mode=...)`` still accepts it by name.
+MODES = ("bitparallel",)
 
 #: Default samples per shard. Each uint64 word of the bit-parallel
 #: kernel carries 64 worlds, so 8192 samples = 128 blocks keeps the
@@ -88,15 +91,6 @@ DEFAULT_SHARD_SIZE = 8192
 #: operation in-process instead. Results are unaffected —
 #: the determinism contract already guarantees serial == pooled.
 DEFAULT_PARALLEL_THRESHOLD = 4096
-
-#: Pickle-transport surcharge for modes that ship the whole graph into
-#: every shard task (only ``"scalar"``; the bit-parallel mode attaches
-#: to a :class:`SharedCSR` by name instead).
-#: Serializing + deserializing one edge costs about as much as sampling
-#: 1/200th of a sample on the evaluation graphs, so an operation must
-#: bring at least ``num_edges / 200`` extra samples of work before the
-#: pool pays for the copies it forces.
-TRANSPORT_EDGES_PER_SAMPLE = 200
 
 
 def _shard_counts(total: int, shard_size: int) -> list[int]:
@@ -117,14 +111,13 @@ def _rr_shard(
     edge_probs,
     count: int,
     seed_seq: np.random.SeedSequence,
-    mode: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One shard of RR samples; module-level so process pools can pickle it.
 
     The shard's generator is rebuilt from ``seed_seq`` at the top of
     every attempt, so retries replay the shard bit-identically.
-    ``graph`` is either the graph itself (serial path / scalar mode) or
-    a :class:`~repro.engine.shared_csr.CSRGraphHandle` the worker
+    ``graph`` is either the graph itself (serial path) or a
+    :class:`~repro.engine.shared_csr.CSRGraphHandle` the worker
     attaches to by name — same for ``edge_probs`` and
     :class:`~repro.engine.shared_csr.ProbsHandle`.
     """
@@ -132,15 +125,6 @@ def _rr_shard(
     edge_probs = resolve_edge_probs(edge_probs)
     rng = np.random.default_rng(seed_seq)
     roots = rng.choice(target_arr, size=count)
-    if mode == "scalar":
-        from repro.sketch.rr_sets import reverse_reachable_set
-
-        sets = [
-            reverse_reachable_set(graph, int(root), edge_probs, rng)
-            for root in roots
-        ]
-        flat = RRCollection.from_sets(sets, graph.num_nodes)
-        return flat.members, flat.indptr
     # The coin-stream key is drawn *after* the roots from the same
     # shard stream, so the (roots, key) pair is a pure function of
     # seed_seq — replayable across retries and worker counts.
@@ -155,20 +139,11 @@ def _cascade_shard(
     count: int,
     target_arr: np.ndarray,
     seed_seq: np.random.SeedSequence,
-    mode: str,
 ) -> np.ndarray:
     """One shard of IC cascades; returns per-sample target counts."""
     graph = resolve_graph(graph)
     edge_probs = resolve_edge_probs(edge_probs)
     rng = np.random.default_rng(seed_seq)
-    if mode == "scalar":
-        from repro.diffusion.cascade import simulate_cascade
-
-        counts = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            active = simulate_cascade(graph, seed_arr, edge_probs, rng)
-            counts[i] = int(active[target_arr].sum())
-        return counts
     key = int(rng.integers(np.iinfo(np.int64).max, dtype=np.int64))
     return bitparallel_cascade_counts(
         graph, seed_arr, edge_probs, count, target_arr, key
@@ -221,9 +196,8 @@ class SamplingEngine:
     Parameters
     ----------
     mode:
-        ``"bitparallel"`` (64 possible worlds per uint64 word, the
-        default — see :mod:`repro.engine.bitworld`) or ``"scalar"``
-        (the original Python loops, as oracle).
+        ``"bitparallel"``, the only kernel (64 possible worlds per
+        uint64 word, see :mod:`repro.engine.bitworld`).
     workers:
         Process count; ``1`` (default) runs in-process. Results are
         identical for any value — see the module determinism contract.
@@ -251,15 +225,10 @@ class SamplingEngine:
     parallel_threshold:
         Sampling operations totalling fewer samples than this run on
         the in-process path even when ``workers > 1`` (pool dispatch
-        dominates at small sizes). ``0`` disables the fallback. The
-        scalar mode additionally pays a graph-transport surcharge of
-        ``num_edges / TRANSPORT_EDGES_PER_SAMPLE`` samples, because it
-        pickles the graph into every shard task; the shared-memory
-        modes do not. Each fallback is recorded in
-        ``telemetry.parallel_fallbacks``, the aggregate
-        ``engine.parallel_fallbacks`` metric, and a reason-suffixed
-        metric (``engine.parallel_fallbacks.below_threshold`` or
-        ``engine.parallel_fallbacks.transport_cost``). A
+        dominates at small sizes). ``0`` disables the fallback. Each
+        fallback is recorded in ``telemetry.parallel_fallbacks``, the
+        aggregate ``engine.parallel_fallbacks`` metric, and
+        ``engine.parallel_fallbacks.below_threshold``. A
         :class:`~repro.engine.faults.FaultPlan` suppresses the
         fallback — fault injection exists to exercise the pool paths.
     spill_dir:
@@ -426,17 +395,11 @@ class SamplingEngine:
     def _graph_ref(self, graph):
         """The transport form of ``graph`` for one sampling operation.
 
-        Serial engines and the scalar mode (whose traversals need the
-        full :class:`TagGraph` surface) pass the graph object through;
-        shared-memory-capable pooled modes swap in a picklable
-        :class:`CSRGraphHandle` so workers attach by name instead of
-        unpickling the CSR arrays per task.
+        Serial engines pass the graph object through; pooled engines
+        swap in a picklable :class:`CSRGraphHandle` so workers attach
+        by name instead of unpickling the CSR arrays per task.
         """
-        if (
-            self.workers == 1
-            or self.mode == "scalar"
-            or isinstance(graph, CSRGraphView)
-        ):
+        if self.workers == 1 or isinstance(graph, CSRGraphView):
             return graph
         return self._shared_csr(graph).handle
 
@@ -503,19 +466,6 @@ class SamplingEngine:
             "spawn_cursor": int(getattr(seed_seq, "n_children_spawned", 0)),
         }
 
-    def _transport_penalty(self, graph) -> int:
-        """Extra samples the pool must bring to pay for graph transport.
-
-        The scalar mode pickles ``graph`` into every shard task, so its
-        break-even point shifts up by ``num_edges /``
-        :data:`TRANSPORT_EDGES_PER_SAMPLE`. The bit-parallel mode
-        attaches to a :class:`SharedCSR` by name — its transport cost
-        is constant and tiny, so no surcharge.
-        """
-        if self.workers > 1 and self.mode == "scalar":
-            return int(graph.num_edges) // TRANSPORT_EDGES_PER_SAMPLE
-        return 0
-
     def _run_op(
         self,
         worker,
@@ -526,7 +476,6 @@ class SamplingEngine:
         split,
         budget: RunBudget | None,
         charge=None,
-        transport_penalty: int = 0,
     ) -> list:
         """Run one checkpointable sampling operation through the runtime.
 
@@ -537,15 +486,10 @@ class SamplingEngine:
         :class:`BudgetExceededError` stops the run mid-growth).
 
         Small runs skip the pool: when the operation totals fewer than
-        ``parallel_threshold + transport_penalty`` samples, dispatch
-        (plus, for pickled-graph modes, transport) overhead exceeds the
+        ``parallel_threshold`` samples, dispatch overhead exceeds the
         sampling work, so a multi-worker engine runs it in-process.
         Identical results either way (determinism contract); only the
-        wall clock and the ``parallel_fallbacks`` counters notice. The
-        fallback *reason* is published as a suffixed counter —
-        ``engine.parallel_fallbacks.below_threshold`` when the run was
-        small outright, ``engine.parallel_fallbacks.transport_cost``
-        when only the graph-shipping surcharge tipped the decision. A
+        wall clock and the ``parallel_fallbacks`` counters notice. A
         fault plan disables the fallback because fault injection
         explicitly targets the pool recovery paths.
         """
@@ -558,17 +502,12 @@ class SamplingEngine:
             self.workers > 1
             and self.fault_plan is None
             and self.parallel_threshold > 0
-            and total < self.parallel_threshold + transport_penalty
+            and total < self.parallel_threshold
         )
         if force_serial:
-            reason = (
-                "below_threshold"
-                if total < self.parallel_threshold
-                else "transport_cost"
-            )
             self.telemetry.parallel_fallbacks += 1
             obs.count("engine.parallel_fallbacks")
-            obs.count(f"engine.parallel_fallbacks.{reason}")
+            obs.count("engine.parallel_fallbacks.below_threshold")
 
         preloaded: list = []
         if self.checkpoint is not None:
@@ -633,7 +572,7 @@ class SamplingEngine:
             shared_probs = SharedProbs(edge_probs, spill_dir=self.spill_dir)
             probs_ref = shared_probs.handle
         tasks = [
-            (graph_ref, target_arr, probs_ref, count, stream, self.mode)
+            (graph_ref, target_arr, probs_ref, count, stream)
             for count, stream in zip(counts, streams)
         ]
 
@@ -660,7 +599,6 @@ class SamplingEngine:
                     _rr_shard, tasks, counts, signature, pack, split,
                     budget,
                     charge=charge if budget is not None else None,
-                    transport_penalty=self._transport_penalty(graph),
                 )
             except BudgetExceededError as exc:
                 if exc.partial is None or isinstance(exc.partial, list):
@@ -717,10 +655,7 @@ class SamplingEngine:
         counts = _shard_counts(theta, self.shard_size)
         streams = spawn_seed_sequences(rng, len(counts))
         shards = [
-            _rr_shard(
-                graph, target_arr, edge_probs, counts[i], streams[i],
-                self.mode,
-            )
+            _rr_shard(graph, target_arr, edge_probs, counts[i], streams[i])
             for i in range(part_index, len(counts), part_count)
         ]
         collection = self._collect_rr(shards, graph.num_nodes)
@@ -772,8 +707,7 @@ class SamplingEngine:
             shared_probs = SharedProbs(edge_probs, spill_dir=self.spill_dir)
             probs_ref = shared_probs.handle
         tasks = [
-            (graph_ref, seed_arr, probs_ref, count, target_arr, stream,
-             self.mode)
+            (graph_ref, seed_arr, probs_ref, count, target_arr, stream)
             for count, stream in zip(counts, streams)
         ]
 
@@ -793,7 +727,6 @@ class SamplingEngine:
                 shards = self._run_op(
                     _cascade_shard, tasks, counts, signature, pack, split,
                     budget,
-                    transport_penalty=self._transport_penalty(graph),
                 )
             except BudgetExceededError as exc:
                 if exc.partial is None or isinstance(exc.partial, list):
@@ -825,8 +758,7 @@ class SamplingEngine:
         """Monte-Carlo ``σ(S, T, C1)`` through the engine (Eq. 5).
 
         On a budget stop the re-raised error's ``partial`` is the mean
-        over however many cascades completed (``0.0`` when none did),
-        matching the scalar path's partial shape.
+        over however many cascades completed (``0.0`` when none did).
         """
         try:
             counts = self.cascade_target_counts(
@@ -921,3 +853,17 @@ class QueryEngineView(SamplingEngine):
             f"QueryEngineView(mode={self.mode!r}, workers={self.workers}, "
             f"telemetry=[{self.telemetry.summary()}])"
         )
+
+
+def resolve_engine(engine: SamplingEngine | None) -> SamplingEngine:
+    """``engine``, or a fresh serial bit-parallel engine for this call.
+
+    Every public sampling entry point reads ``engine=None`` this way.
+    The determinism contract makes the fresh engine's answers
+    bit-identical to any explicit engine's, serial or pooled. It is
+    built per call, never cached: an engine numbers its operations and
+    keeps telemetry, so one must not be shared across concurrent
+    queries. A long-lived holder (a server) gives each query its own
+    :meth:`SamplingEngine.for_query` view instead.
+    """
+    return engine if engine is not None else SamplingEngine()

@@ -1,8 +1,8 @@
 """Flat CSR-style storage for RR-set collections.
 
-The scalar pipeline stores θ RR sets as ``list[np.ndarray]`` — θ small
-heap objects. :class:`RRCollection` concatenates all members into one
-array with an ``indptr`` (exactly the CSR layout the graph already uses
+Every sampling path returns θ RR sets as one :class:`RRCollection`,
+not as θ small ``np.ndarray`` heap objects: it concatenates all
+members into one array with an ``indptr`` (exactly the CSR layout the graph already uses
 for adjacency) and derives the inverted node→set index lazily; greedy
 coverage over it is an ``np.bincount``-based O(total membership) pass
 (see :func:`repro.sketch.coverage.greedy_max_coverage`, which packs a

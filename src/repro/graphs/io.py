@@ -36,7 +36,8 @@ def save_tag_graph(graph: TagGraph, path: str | Path) -> None:
     Rows are grouped by edge id and sorted by tag within an edge, so a
     load assigns the same ids. Raises :class:`GraphConstructionError`,
     before writing anything, when a written tag contains a tab or a line
-    break.
+    break, or when an edge has no tag rows: the format cannot state such
+    an edge, so a load would renumber every later edge.
     """
     tags = graph.tags
     arrays = [graph.tag_edges(tag) for tag in tags]
@@ -50,6 +51,15 @@ def save_tag_graph(graph: TagGraph, path: str | Path) -> None:
     # The rows are in tag name order (``tags`` is sorted), so a stable
     # sort by edge id orders them by (edge id, tag).
     edge_ids = np.concatenate([np.empty(0, np.int64), *(i for i, _ in arrays)])
+    tagged = np.zeros(graph.num_edges, dtype=bool)
+    tagged[edge_ids] = True
+    if not tagged.all():
+        raise GraphConstructionError(
+            f"edge {int(np.argmin(tagged))} has no tags, which the TSV "
+            "format cannot store: a reload would renumber every later "
+            "edge (an EdgeRemove tombstone keeps its id, also through "
+            "MutableTagGraph.compact())"
+        )
     probs = np.concatenate([np.empty(0), *(p for _, p in arrays)])
     tag_ids = np.repeat(np.arange(len(tags)), sizes)
     order = stable_argsort(edge_ids, graph.num_edges - 1)

@@ -29,7 +29,7 @@ from repro.engine.bitworld import (
     coin_thresholds,
     live_csr,
 )
-from repro.engine.parallel import SamplingEngine
+from repro.engine.parallel import SamplingEngine, resolve_engine
 from repro.engine.rr_storage import RRCollection
 from repro.exceptions import BudgetExceededError
 from repro.graphs.tag_graph import TagGraph
@@ -76,8 +76,7 @@ class IndexedTRSResult:
         Per-working-graph (tag → world) choices when recording was
         requested (Figure 7's diagnostic); otherwise ``None``.
     telemetry:
-        Runtime failure counters when an engine with a fault-tolerant
-        runtime was involved; ``None`` otherwise.
+        Runtime counters of the engine that ran the OPT_T pilot.
     report:
         Observability report (metrics + trace + phases) when the call
         ran inside an :func:`repro.obs.observe` scope; ``None``
@@ -177,14 +176,12 @@ def indexed_select_seeds(
         result for correlation diagnostics (Figure 7); costs memory
         proportional to ``θ · r``.
     engine:
-        Optional :class:`~repro.engine.SamplingEngine` for the OPT_T
-        pilot; ``None`` runs the pilot on an in-process serial
-        bit-parallel engine built for this call, so the result equals
-        the one a ``SamplingEngine("bitparallel", workers=1)`` gives.
-        The θ indexed traversals always run in-process on the
-        bit-parallel RR kernel (:func:`sample_indexed_rr_sets`),
-        whatever the engine's mode and ``workers``, because each
-        working graph is drawn from shared manager state.
+        The :class:`~repro.engine.SamplingEngine` for the OPT_T pilot;
+        ``None`` means a fresh serial one. The θ indexed traversals
+        always run in-process on the bit-parallel RR kernel
+        (:func:`sample_indexed_rr_sets`), whatever the engine's
+        ``workers``, because each working graph is drawn from shared
+        manager state.
     budget:
         Optional :class:`~repro.engine.RunBudget`, charged θ samples up
         front and the RR members of each kernel block batch as it
@@ -194,6 +191,7 @@ def indexed_select_seeds(
         finished batches.
     """
     rng = ensure_rng(rng)
+    engine = resolve_engine(engine)
     check_budget(k, graph.num_nodes, what="seeds")
     check_tags_exist(tags, graph.tags)
     tag_list = list(dict.fromkeys(tags))  # dedupe, preserve order
@@ -201,13 +199,9 @@ def indexed_select_seeds(
         targets, graph.num_nodes, context="indexed_select_seeds"
     )
     num_targets = int(target_arr.size)
-    pilot_engine = (
-        engine if engine is not None
-        else SamplingEngine(mode="bitparallel", workers=1)
-    )
 
     timer = Timer()
-    rr: RRCollection | list = []
+    rr = RRCollection.from_sets((), graph.num_nodes)
     choices_log: list[dict[str, int]] = []
     theta = 0
     tc = 0
@@ -219,7 +213,7 @@ def indexed_select_seeds(
             with obs.span("itrs.pilot"):
                 opt_t = estimate_opt_t(
                     graph, target_arr, edge_probs, k, config, rng,
-                    engine=pilot_engine, budget=budget,
+                    engine=engine, budget=budget,
                 )
             theta = compute_theta(
                 graph.num_nodes, k, num_targets, opt_t, config
@@ -286,13 +280,13 @@ def indexed_select_seeds(
         query_seconds=timer.elapsed,
         index_stats=manager.stats.snapshot(),
         world_choices=tuple(choices_log) if record_choices else None,
-        telemetry=engine.telemetry.as_dict() if engine is not None else None,
+        telemetry=engine.telemetry.as_dict(),
         report=obs.snapshot_report(),
     )
 
 
 def _partial_indexed_result(
-    rr_list: RRCollection | list,
+    rr: RRCollection,
     choices_log: list[dict[str, int]] | None,
     k: int,
     graph: TagGraph,
@@ -301,12 +295,12 @@ def _partial_indexed_result(
     tc: int,
     elapsed: float,
     manager: IndexManager,
-    engine: "SamplingEngine | None",
+    engine: SamplingEngine,
 ) -> IndexedTRSResult:
     """Best-effort :class:`IndexedTRSResult` from a budget-stopped run."""
-    collected = len(rr_list)
+    collected = len(rr)
     if collected > 0:
-        coverage = greedy_max_coverage(rr_list, min(k, collected),
+        coverage = greedy_max_coverage(rr, min(k, collected),
                                        graph.num_nodes)
         seeds = coverage.seeds
         spread = coverage.spread_estimate(num_targets)
@@ -320,7 +314,7 @@ def _partial_indexed_result(
         query_seconds=elapsed,
         index_stats=manager.stats.snapshot(),
         world_choices=tuple(choices_log) if choices_log is not None else None,
-        telemetry=engine.telemetry.as_dict() if engine is not None else None,
+        telemetry=engine.telemetry.as_dict(),
     )
 
 

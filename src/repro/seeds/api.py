@@ -44,9 +44,8 @@ class SeedSelection:
     elapsed_seconds:
         Wall-clock time of the selection (online part for index engines).
     telemetry:
-        Runtime failure counters (shards retried, pool rebuilds, ...)
-        when a fault-tolerant sampler ran the engine; ``None`` on the
-        scalar path.
+        Runtime counters (shards run and retried, pool rebuilds, ...)
+        of the sampler that ran the engine.
     report:
         Observability report (metrics + trace + phases) when the call
         ran inside an :func:`repro.obs.observe` scope; ``None``
@@ -94,10 +93,10 @@ def find_seeds(
     num_samples:
         MC samples per estimation (``greedy-mc`` only).
     sampler:
-        Optional :class:`~repro.engine.SamplingEngine` — the
-        bit-parallel / multi-process sampling substrate every
-        algorithmic engine above can run on. ``None`` keeps the scalar
-        oracle path.
+        The :class:`~repro.engine.SamplingEngine` — the bit-parallel,
+        optionally multi-process sampling substrate every algorithmic
+        engine above runs on. ``None`` means a fresh serial one for
+        this call, with answers bit-identical to any explicit engine's.
     budget:
         Optional :class:`~repro.engine.RunBudget` forwarded to the
         engine; a tripped limit raises

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro import obs
 from repro.diffusion.monte_carlo import estimate_spread, target_mask
+from repro.engine.parallel import resolve_engine
 from repro.exceptions import BudgetExceededError
 from repro.graphs.tag_graph import TagGraph
 from repro.utils.rng import ensure_rng
@@ -48,8 +49,7 @@ class GreedyMCResult:
     elapsed_seconds:
         Wall-clock selection time.
     telemetry:
-        Runtime failure counters when an engine ran the simulation;
-        ``None`` on the scalar path.
+        Runtime counters of the engine that ran the simulation.
     report:
         Observability report (metrics + trace + phases) when the call
         ran inside an :func:`repro.obs.observe` scope; ``None``
@@ -87,8 +87,8 @@ def greedy_mc_select_seeds(
     use_celf_plus_plus:
         Enable the CELF++ look-ahead cache on top of plain CELF.
     engine:
-        Optional :class:`~repro.engine.SamplingEngine` for
-        bit-parallel (and multi-process) cascade simulation.
+        The :class:`~repro.engine.SamplingEngine` that simulates every
+        evaluation's cascades; ``None`` means a fresh serial one.
     budget:
         Optional :class:`~repro.engine.RunBudget` spanning every MC
         evaluation; a tripped limit raises
@@ -102,6 +102,7 @@ def greedy_mc_select_seeds(
     how every MC-based CELF implementation behaves in practice.
     """
     rng = ensure_rng(rng)
+    engine = resolve_engine(engine)
     check_tags_exist(tags, graph.tags)
     pool = (
         list(range(graph.num_nodes))
@@ -194,9 +195,7 @@ def greedy_mc_select_seeds(
             estimated_spread=0.0 if not seeds else base_spread,
             spread_evaluations=evaluations,
             elapsed_seconds=timer.elapsed,
-            telemetry=(
-                engine.telemetry.as_dict() if engine is not None else None
-            ),
+            telemetry=engine.telemetry.as_dict(),
         )
         raise
 
@@ -205,6 +204,6 @@ def greedy_mc_select_seeds(
         estimated_spread=final_spread,
         spread_evaluations=evaluations,
         elapsed_seconds=timer.elapsed,
-        telemetry=engine.telemetry.as_dict() if engine is not None else None,
+        telemetry=engine.telemetry.as_dict(),
         report=obs.snapshot_report(),
     )

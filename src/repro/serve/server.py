@@ -65,6 +65,7 @@ import itertools
 import math
 import threading
 import time
+import weakref
 from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
@@ -75,6 +76,7 @@ from repro import obs
 from repro.core.joint import JointConfig, jointly_select
 from repro.core.problem import JointQuery
 from repro.diffusion.monte_carlo import estimate_spread
+from repro.engine.parallel import resolve_engine
 from repro.engine.runtime import RunBudget, RunTelemetry
 from repro.exceptions import (
     BudgetExceededError,
@@ -264,6 +266,23 @@ def _approx_nbytes(value: Any) -> int:
     return max(256, len(repr(value)))
 
 
+def _weak_callback(method: Callable) -> Callable:
+    """``method`` as a callback that does not keep its object alive.
+
+    The server hands callbacks to the cache and breakers it owns; a
+    bound method there would make a cycle, so a closed and dropped
+    server (and its graph) would live on until the cyclic GC ran.
+    """
+    ref = weakref.WeakMethod(method)
+
+    def call(*args) -> None:
+        bound = ref()
+        if bound is not None:
+            bound(*args)
+
+    return call
+
+
 @dataclass
 class _QueryItem:
     """One admitted query waiting in (or dispatched from) a class queue."""
@@ -304,11 +323,11 @@ class CampaignServer:
         Shared :class:`~repro.core.joint.JointConfig`; supplies the
         default seed engine, sketch knobs, and tag-selection knobs.
     sampler:
-        Optional pooled :class:`~repro.engine.SamplingEngine` shared by
-        all queries. Each query samples through
-        ``sampler.for_query(...)`` — a view with per-query telemetry —
-        so one set of worker processes serves every query without
-        counter bleed.
+        The :class:`~repro.engine.SamplingEngine` shared by all
+        queries; ``None`` gives the server its own serial engine. Each
+        query samples through ``sampler.for_query(...)`` — a view with
+        per-query telemetry and its own operation counter — so one set
+        of worker processes serves every query without counter bleed.
     pool_size:
         Worker threads executing queries.
     queue_capacity:
@@ -410,7 +429,7 @@ class CampaignServer:
         self._edit_lock = threading.Lock()
         self._repair_mode = repair_mode
         self._config = config
-        self._sampler = sampler
+        self._sampler = resolve_engine(sampler)
         self._default_deadline = default_deadline
         self._default_max_samples = default_max_samples
         self._default_max_rr_members = default_max_rr_members
@@ -437,12 +456,8 @@ class CampaignServer:
         }
         self._tag_digest = config_digest(config.tag_config)
         self._chaos = chaos
-        if (
-            chaos is not None
-            and chaos.engine_plan is not None
-            and sampler is not None
-        ):
-            sampler.fault_plan = chaos.engine_plan
+        if chaos is not None and chaos.engine_plan is not None:
+            self._sampler.fault_plan = chaos.engine_plan
 
         self._metrics = MetricsRegistry()
         self._metrics_lock = threading.Lock()
@@ -469,7 +484,8 @@ class CampaignServer:
         for name in QUERY_CLASSES:
             self._metrics.set_gauge(f"serve.queue.depth.{name}", 0)
         self._cache = AssetCache(
-            max_bytes=cache_bytes, on_event=self._on_cache_event
+            max_bytes=cache_bytes,
+            on_event=_weak_callback(self._on_cache_event),
         )
         self._executor = ThreadPoolExecutor(
             max_workers=pool_size, thread_name_prefix="repro-serve"
@@ -724,7 +740,9 @@ class CampaignServer:
                     kind,
                     failure_threshold=self._qos.breaker_failure_threshold,
                     reset_timeout=self._qos.breaker_reset_timeout,
-                    on_transition=self._on_breaker_transition,
+                    on_transition=_weak_callback(
+                        self._on_breaker_transition
+                    ),
                 )
                 self._breakers[kind] = breaker
             return breaker
@@ -1428,14 +1446,10 @@ class CampaignServer:
         )
 
     def _view(self, registry=None):
-        """A telemetry-isolated engine view, or None (scalar path)."""
-        if self._sampler is None:
-            return None
+        """A telemetry-isolated view of the server's engine."""
         return self._sampler.for_query(registry=registry)
 
-    def _runtime_dict(self, ob) -> dict | None:
-        if self._sampler is None:
-            return None
+    def _runtime_dict(self, ob) -> dict:
         return RunTelemetry(registry=ob.metrics).as_dict()
 
     # ------------------------------------------------------------------

@@ -143,14 +143,13 @@ class WorkerSpec:
 
     Must stay picklable under the ``spawn`` start method — chaos is
     carried as :class:`~repro.serve.chaos.ServeFaultPlan` constructor
-    kwargs (the plan itself holds a lock), and the engine as a mode
-    string (each worker builds its own single-process
-    :class:`~repro.engine.SamplingEngine`; intra-query parallelism
-    comes from the fleet, not nested pools).
+    kwargs (the plan itself holds a lock). Each worker builds its own
+    single-process :class:`~repro.engine.SamplingEngine`; intra-query
+    parallelism comes from the fleet, not nested pools.
     """
 
     config: Any = None  # JointConfig | None
-    engine_mode: Optional[str] = None  # None -> scalar library path
+    engine_mode: str = "bitparallel"  # the only SamplingEngine mode
     pool_size: int = 4
     queue_capacity: int = 32
     cache_bytes: int = 256 * 1024 * 1024
@@ -204,11 +203,6 @@ class _ScatterSessions:
             check_tags_exist,
         )
 
-        if self._sampler is None:
-            raise ConfigurationError(
-                "scatter coverage requires an engine_mode on WorkerSpec "
-                "(the scalar library path draws RR sets sequentially)"
-            )
         graph, epoch = self._server.graph_state
         expect = request.get("expect_epoch")
         if expect is not None and int(expect) != epoch:
@@ -316,13 +310,12 @@ def _worker_main(conn, worker_id: str, graph_payload, spec: WorkerSpec):
             if hasattr(graph_payload, "attach")
             else graph_payload
         )
-        if spec.engine_mode is not None:
-            from repro.engine.parallel import SamplingEngine
+        from repro.engine.parallel import SamplingEngine
 
-            sampler = SamplingEngine(
-                mode=spec.engine_mode, workers=1,
-                retry_policy=spec.retry_policy,
-            )
+        sampler = SamplingEngine(
+            mode=spec.engine_mode, workers=1,
+            retry_policy=spec.retry_policy,
+        )
         from repro.core.joint import JointConfig
         from repro.serve.server import CampaignServer
 
@@ -376,8 +369,7 @@ def _worker_main(conn, worker_id: str, graph_payload, spec: WorkerSpec):
         if endpoint is not None:
             endpoint.close()
         server.close()
-        if sampler is not None:
-            sampler.close()
+        sampler.close()
         try:
             conn.close()
         except OSError:

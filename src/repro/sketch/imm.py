@@ -26,6 +26,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import obs
+from repro.engine.parallel import resolve_engine
+from repro.engine.rr_storage import RRCollection
 from repro.exceptions import BudgetExceededError
 from repro.graphs.tag_graph import TagGraph
 from repro.sketch.coverage import greedy_max_coverage
@@ -64,8 +66,7 @@ class IMMResult:
     elapsed_seconds:
         Total selection time.
     telemetry:
-        Runtime failure counters when an engine ran the sampling;
-        ``None`` on the scalar path.
+        Runtime counters of the engine that ran the sampling.
     report:
         Observability report (metrics + trace + phases) when the call
         ran inside an :func:`repro.obs.observe` scope; ``None``
@@ -104,9 +105,8 @@ def imm_select_seeds(
         Failure-probability exponent: guarantees hold with probability
         at least ``1 − |T|^(−ell)`` (IMM's ℓ parameter).
     engine:
-        Optional :class:`~repro.engine.SamplingEngine`; the geometric
-        rounds then accumulate flat
-        :class:`~repro.engine.RRCollection` batches instead of lists.
+        The :class:`~repro.engine.SamplingEngine` that samples every
+        geometric round's batch; ``None`` means a fresh serial one.
     budget:
         Optional :class:`~repro.engine.RunBudget`; a tripped limit
         raises :class:`~repro.exceptions.BudgetExceededError` whose
@@ -117,6 +117,7 @@ def imm_select_seeds(
     reuses the pre-validated array.
     """
     rng = ensure_rng(rng)
+    engine = resolve_engine(engine)
     check_budget(k, graph.num_nodes, what="seeds")
     check_tags_exist(tags, graph.tags)
     target_arr = as_target_array(
@@ -145,7 +146,7 @@ def _imm_core(
     config: SketchConfig,
     ell: float,
     rng: np.random.Generator,
-    engine: "SamplingEngine | None",
+    engine: "SamplingEngine",
     budget: "RunBudget | None",
     timer: Timer,
 ) -> IMMResult:
@@ -167,16 +168,9 @@ def _imm_core(
             / (eps_prime * eps_prime)
         )
 
-        if engine is None:
-            rr_sets: "list[np.ndarray] | RRCollection" = []
-        else:
-            from repro.engine.rr_storage import RRCollection
+        rr_sets = RRCollection.from_sets((), n)
 
-            rr_sets = RRCollection(
-                np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), n
-            )
-
-        def extended(current, count: int):
+        def extended(current: RRCollection, count: int) -> RRCollection:
             try:
                 extra = sample_rr_sets_validated(
                     graph, target_arr, edge_probs, count, rng,
@@ -185,18 +179,9 @@ def _imm_core(
             except BudgetExceededError as exc:
                 # Fold the failing batch's partial into what earlier
                 # rounds accumulated so the caller sees everything.
-                if engine is None:
-                    current.extend(exc.partial or [])
-                    exc.partial = current
-                else:
-                    exc.partial = type(current).concat(
-                        (current, exc.partial)
-                    ) if exc.partial is not None else current
+                exc.partial = RRCollection.concat((current, exc.partial))
                 raise
-            if engine is None:
-                current.extend(extra)
-                return current
-            return type(current).concat((current, extra))
+            return RRCollection.concat((current, extra))
 
         lower_bound = 1.0
         rounds = 0
@@ -253,24 +238,25 @@ def _imm_core(
         lower_bound=lower_bound,
         sampling_rounds=rounds,
         elapsed_seconds=timer.elapsed,
-        telemetry=engine.telemetry.as_dict() if engine is not None else None,
+        telemetry=engine.telemetry.as_dict(),
         report=obs.snapshot_report(),
     )
 
 
 def _partial_imm_result(
-    partial_sets,
+    partial_sets: RRCollection,
     k: int,
     num_nodes: int,
     t_size: int,
     elapsed: float,
-    engine: "SamplingEngine | None",
+    engine: "SamplingEngine",
 ) -> IMMResult:
     """Best-effort :class:`IMMResult` from whatever a budget stop left."""
-    sets = partial_sets if partial_sets is not None else []
-    collected = len(sets)
+    collected = len(partial_sets)
     if collected > 0:
-        coverage = greedy_max_coverage(sets, min(k, collected), num_nodes)
+        coverage = greedy_max_coverage(
+            partial_sets, min(k, collected), num_nodes
+        )
         seeds = coverage.seeds
         spread = coverage.fraction * t_size
     else:
@@ -282,5 +268,5 @@ def _partial_imm_result(
         lower_bound=1.0,
         sampling_rounds=0,
         elapsed_seconds=elapsed,
-        telemetry=engine.telemetry.as_dict() if engine is not None else None,
+        telemetry=engine.telemetry.as_dict(),
     )

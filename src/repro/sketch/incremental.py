@@ -17,9 +17,9 @@ the same seed. Two properties make this possible:
     reachability through ``dst(e)``, which requires ``dst(e)`` to have
     been reachable already.
 
-2.  **Per-set random streams.** The pooled engine's scalar shards feed
-    one sequential generator through all of a shard's samples, so
-    resampling set ``i`` alone would shift every later set's coins. The
+2.  **Per-set random streams.** A scalar traversal feeding one
+    sequential generator through all of a shard's samples would make
+    resampling set ``i`` alone shift every later set's coins. The
     repairable builder instead derives one child ``SeedSequence`` per
     set (spawned from the shard's sequence, *after* drawing the shard's
     roots) and keeps the spawned children on the sketch: a repaired set

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import obs
+from repro.engine.parallel import resolve_engine
 from repro.exceptions import InvalidQueryError
 from repro.graphs.tag_graph import TagGraph
 from repro.utils.rng import ensure_rng
@@ -54,8 +54,7 @@ def _reverse_reachable_set_into(
 
     The buffer must arrive all-``False`` and is restored before
     returning, so batch callers avoid a length-``n`` allocation per
-    sample. RNG consumption is identical to the original loop, keeping
-    the scalar path bit-compatible for fixed seeds.
+    sample. Scalar sketch repair runs it once per dirty set.
     """
     visited[root] = True
     members = [int(root)]
@@ -122,7 +121,7 @@ def sample_rr_sets(
     theta: int,
     rng: np.random.Generator | int | None = None,
     engine: "SamplingEngine | None" = None,
-) -> "list[np.ndarray] | RRCollection":
+) -> "RRCollection":
     """Sample ``theta`` targeted RR sets (roots uniform over ``targets``).
 
     This is the *targeted* refinement: in classical reverse sketching the
@@ -134,11 +133,10 @@ def sample_rr_sets(
     already hold a validated array (TRS/IMM iterations) should call
     :func:`sample_rr_sets_validated` directly.
 
-    With ``engine`` set, sampling is delegated to the bit-parallel
-    (and optionally multi-process) :class:`~repro.engine.SamplingEngine`
-    and the result is a flat :class:`~repro.engine.RRCollection` — a
-    drop-in sequence of member arrays. Without it, the scalar path
-    returns a ``list`` and stays bit-compatible with earlier releases.
+    Sampling runs on ``engine`` (a
+    :class:`~repro.engine.SamplingEngine`; ``None`` means a fresh serial
+    one) and the result is a flat :class:`~repro.engine.RRCollection`,
+    a sequence of member arrays.
     """
     target_arr = as_target_array(
         targets, graph.num_nodes, context="sample_rr_sets"
@@ -156,53 +154,17 @@ def sample_rr_sets_validated(
     rng: np.random.Generator | int | None = None,
     engine: "SamplingEngine | None" = None,
     budget: "RunBudget | None" = None,
-) -> "list[np.ndarray] | RRCollection":
+) -> "RRCollection":
     """:func:`sample_rr_sets` minus validation: the hot-path entry.
 
     ``target_arr`` must be the sorted-unique int64 array produced by
     :func:`repro.utils.validation.as_target_array`; no per-call
-    re-validation or re-sorting happens here. With a ``budget``, both
-    the engine and the scalar path raise
-    :class:`~repro.exceptions.BudgetExceededError` carrying the RR sets
-    collected so far once a limit trips.
+    re-validation or re-sorting happens here. With a ``budget``, a
+    tripped limit raises :class:`~repro.exceptions.BudgetExceededError`
+    carrying the RR sets collected so far.
     """
     if theta <= 0:
         raise InvalidQueryError(f"theta must be positive, got {theta}")
-    rng = ensure_rng(rng)
-    if engine is not None:
-        return engine.sample_rr_sets(
-            graph, target_arr, edge_probs, theta, rng, budget=budget
-        )
-
-    roots = rng.choice(target_arr, size=theta)
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    if budget is None:
-        sets = [
-            _reverse_reachable_set_into(
-                graph, int(root), edge_probs, rng, visited
-            )
-            for root in roots
-        ]
-        # Same counter names as the engine driver: the scalar oracle
-        # and the engine paths must report identical logical work.
-        obs.count("rr.samples_drawn", len(sets))
-        obs.count("rr.members", sum(s.size for s in sets))
-        return sets
-    from repro.exceptions import BudgetExceededError
-
-    budget.charge_samples(theta, partial=[])
-    sets: list[np.ndarray] = []
-    for root in roots:
-        sets.append(
-            _reverse_reachable_set_into(
-                graph, int(root), edge_probs, rng, visited
-            )
-        )
-        try:
-            budget.charge_rr_members(sets[-1].size)
-        except BudgetExceededError as exc:
-            exc.partial = sets
-            raise
-    obs.count("rr.samples_drawn", len(sets))
-    obs.count("rr.members", sum(s.size for s in sets))
-    return sets
+    return resolve_engine(engine).sample_rr_sets(
+        graph, target_arr, edge_probs, theta, rng, budget=budget
+    )

@@ -21,6 +21,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import obs
+from repro.engine.parallel import resolve_engine
+from repro.engine.rr_storage import RRCollection
 from repro.exceptions import BudgetExceededError
 from repro.graphs.tag_graph import TagGraph
 from repro.sketch.coverage import greedy_max_coverage
@@ -57,9 +59,9 @@ class TRSResult:
     elapsed_seconds:
         Wall-clock time of the whole selection.
     telemetry:
-        Runtime failure counters (shards retried, pool rebuilds, ...)
-        when an engine with a fault-tolerant runtime ran the sampling;
-        ``None`` on the scalar path.
+        Runtime counters (shards run and retried, pool rebuilds, ...)
+        of the engine that ran the sampling; ``None`` for a selection
+        from a prebuilt sketch, which samples nothing.
     report:
         Structured observability report (metrics + trace + phases, see
         ``docs/observability.md``) when the call ran inside an
@@ -96,7 +98,7 @@ class TRSSketch:
     them, so one sketch may back many concurrent selections.
     """
 
-    rr_sets: object
+    rr_sets: RRCollection
     theta: int
     opt_t_estimate: float | None
     num_targets: int
@@ -108,14 +110,9 @@ class TRSSketch:
     @property
     def nbytes(self) -> int:
         """Approximate payload size, for byte-accounted caches."""
-        sets = self.rr_sets
-        members = getattr(sets, "members", None)
-        if members is not None:  # RRCollection: CSR arrays
-            return int(members.nbytes) + int(sets.indptr.nbytes)
-        total = 0
-        for arr in sets:
-            total += int(getattr(arr, "nbytes", 8 * len(arr)))
-        return total
+        return int(self.rr_sets.members.nbytes) + int(
+            self.rr_sets.indptr.nbytes
+        )
 
 
 def _build_sketch_phases(
@@ -125,7 +122,7 @@ def _build_sketch_phases(
     k: int,
     config: SketchConfig,
     rng: np.random.Generator,
-    engine: "SamplingEngine | None",
+    engine: "SamplingEngine",
     budget: "RunBudget | None",
     trs_span=None,
     state: dict | None = None,
@@ -183,6 +180,7 @@ def trs_build_sketch(
     both, not just ``(targets, tags)``.
     """
     rng = ensure_rng(rng)
+    engine = resolve_engine(engine)
     check_budget(k, graph.num_nodes, what="seeds")
     check_tags_exist(tags, graph.tags)
     target_arr = as_target_array(
@@ -215,7 +213,6 @@ def trs_select_from_sketch(
     graph: TagGraph,
     sketch: TRSSketch,
     k: int,
-    engine: "SamplingEngine | None" = None,
 ) -> TRSResult:
     """Greedy-cover ``k`` seeds out of a prebuilt :class:`TRSSketch`.
 
@@ -244,7 +241,6 @@ def trs_select_from_sketch(
         theta=sketch.theta,
         opt_t_estimate=sketch.opt_t_estimate,
         elapsed_seconds=timer.elapsed,
-        telemetry=engine.telemetry.as_dict() if engine is not None else None,
         report=obs.snapshot_report(),
     )
 
@@ -277,9 +273,9 @@ def trs_select_seeds(
     rng:
         Seed or generator.
     engine:
-        Optional :class:`~repro.engine.SamplingEngine` for
-        bit-parallel / multi-process RR sampling. ``None`` keeps the
-        scalar oracle path (bit-compatible for fixed seeds).
+        The :class:`~repro.engine.SamplingEngine` that samples the RR
+        sets; ``None`` means a fresh serial one, with answers
+        bit-identical to any explicit engine's.
     budget:
         Optional :class:`~repro.engine.RunBudget`. When a limit trips
         mid-sampling, the raised
@@ -291,6 +287,7 @@ def trs_select_seeds(
     receive the pre-validated array.
     """
     rng = ensure_rng(rng)
+    engine = resolve_engine(engine)
     check_budget(k, graph.num_nodes, what="seeds")
     check_tags_exist(tags, graph.tags)
     target_arr = as_target_array(
@@ -321,29 +318,30 @@ def trs_select_seeds(
         theta=theta,
         opt_t_estimate=opt_t,
         elapsed_seconds=timer.elapsed,
-        telemetry=engine.telemetry.as_dict() if engine is not None else None,
+        telemetry=engine.telemetry.as_dict(),
         report=obs.snapshot_report(),
     )
 
 
 def _partial_trs_result(
-    partial_sets,
+    partial_sets: RRCollection,
     k: int,
     num_nodes: int,
     num_targets: int,
     opt_t: float | None,
     elapsed: float,
-    engine: "SamplingEngine | None",
+    engine: "SamplingEngine",
 ) -> TRSResult:
     """Best-effort :class:`TRSResult` from the RR sets a budget stop left.
 
     The seeds still greedily cover whatever was sampled; only the
     statistical guarantee (which needs the full θ) is forfeit.
     """
-    sets = partial_sets if partial_sets is not None else []
-    collected = len(sets)
+    collected = len(partial_sets)
     if collected > 0:
-        coverage = greedy_max_coverage(sets, min(k, collected), num_nodes)
+        coverage = greedy_max_coverage(
+            partial_sets, min(k, collected), num_nodes
+        )
         seeds = coverage.seeds
         spread = coverage.spread_estimate(num_targets)
     else:
@@ -354,5 +352,5 @@ def _partial_trs_result(
         theta=collected,
         opt_t_estimate=opt_t,
         elapsed_seconds=elapsed,
-        telemetry=engine.telemetry.as_dict() if engine is not None else None,
+        telemetry=engine.telemetry.as_dict(),
     )

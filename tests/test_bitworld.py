@@ -228,40 +228,12 @@ def test_bitparallel_cascades_identical_across_workers(
 def test_bitparallel_default_shard_size():
     engine = SamplingEngine(mode="bitparallel")
     assert engine.shard_size == DEFAULT_SHARD_SIZE == 8192
-    assert SamplingEngine(mode="scalar").shard_size == DEFAULT_SHARD_SIZE
     assert SamplingEngine().mode == "bitparallel"
 
 
 # ---------------------------------------------------------------------------
-# Transport-aware parallel fallback (reason counters)
+# Small-run parallel fallback (reason counter)
 # ---------------------------------------------------------------------------
-
-
-def _fallback_counters():
-    reg = obs.current_registry()
-    return (
-        reg.value("engine.parallel_fallbacks.below_threshold", 0),
-        reg.value("engine.parallel_fallbacks.transport_cost", 0),
-    )
-
-
-def test_scalar_fallback_reports_transport_cost(small_yelp):
-    """A run above the base threshold but inside the pickle surcharge
-    falls back with reason ``transport_cost``."""
-    graph = small_yelp.graph
-    penalty = graph.num_edges // 200
-    assert penalty > 0, "fixture graph too small to exercise the surcharge"
-    target_arr = np.arange(20, dtype=np.int64)
-    edge_probs = graph.edge_probabilities(list(graph.tags[:2]))
-    with obs.observe():
-        engine = SamplingEngine(
-            mode="scalar", workers=2, parallel_threshold=100, shard_size=32
-        )
-        engine.sample_rr_sets(graph, target_arr, edge_probs, 100 + penalty // 2 + 1, rng=0)
-        below, transport = _fallback_counters()
-        assert engine.telemetry.parallel_fallbacks == 1
-        engine.close()
-    assert (below, transport) == (0, 1)
 
 
 def test_small_run_fallback_reports_below_threshold(small_yelp):
@@ -274,11 +246,12 @@ def test_small_run_fallback_reports_below_threshold(small_yelp):
             shard_size=64,
         )
         engine.sample_rr_sets(graph, target_arr, edge_probs, 50, rng=0)
-        below, transport = _fallback_counters()
+        below = obs.current_registry().value(
+            "engine.parallel_fallbacks.below_threshold", 0
+        )
         assert engine.telemetry.parallel_fallbacks == 1
         engine.close()
-    # Shared-memory modes carry no transport surcharge at all.
-    assert (below, transport) == (1, 0)
+    assert below == 1
 
 
 # ---------------------------------------------------------------------------

@@ -85,14 +85,15 @@ class TestSamplerFlags:
          "-k", "2"],
     ], ids=lambda argv: argv[0])
     def test_workers_implies_engine(self, argv):
+        """Every run gets one bit-parallel engine, sized by --workers."""
         parser = build_parser()
-        assert _make_sampler(parser.parse_args(argv)) is None
-        sampler = _make_sampler(parser.parse_args(argv + ["--workers", "2"]))
-        try:
-            assert sampler.mode == "bitparallel"
-            assert sampler.workers == 2
-        finally:
-            sampler.close()
+        for extra, workers in (([], 1), (["--workers", "2"], 2)):
+            sampler = _make_sampler(parser.parse_args(argv + extra))
+            try:
+                assert sampler.mode == "bitparallel"
+                assert sampler.workers == workers
+            finally:
+                sampler.close()
 
     def test_workers_run_matches_serial_engine(self, workspace, capsys):
         graph_path, targets_path = workspace
@@ -101,7 +102,7 @@ class TestSamplerFlags:
                 "-k", "2", "--tags", ",".join(graph.tags[:3]), "--seed", "0"]
         assert main(argv + ["--workers", "2"]) == 0
         pooled = capsys.readouterr().out.splitlines()[:2]
-        assert main(argv + ["--sampler", "bitparallel"]) == 0
+        assert main(argv) == 0
         serial = capsys.readouterr().out.splitlines()[:2]
         assert pooled == serial
 
@@ -116,13 +117,20 @@ class TestSamplerFlags:
         assert "--checkpoint-dir" in capsys.readouterr().err
 
     def test_removed_sampler_mode_is_usage_error(self, workspace, capsys):
+        """``--sampler`` is gone: there is one engine, so any value of
+        it is a usage error, on the batch commands and on serve."""
         graph_path, targets_path = workspace
-        with pytest.raises(SystemExit) as exc:
-            main(["seeds", str(graph_path), "--targets-file",
-                  str(targets_path), "-k", "1", "--tags", "a",
-                  "--sampler", "vectorized"])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        seeds = ["seeds", str(graph_path), "--targets-file",
+                 str(targets_path), "-k", "1", "--tags", "a"]
+        serve = ["serve", str(graph_path)]
+        for argv in (seeds, serve):
+            for mode in ("bitparallel", "scalar", "vectorized"):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + ["--sampler", mode])
+                assert exc.value.code == 2
+                assert "unrecognized arguments: --sampler" in (
+                    capsys.readouterr().err
+                )
 
 
 class TestServeRuntimeFlags:

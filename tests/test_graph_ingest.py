@@ -30,6 +30,7 @@ from repro.graphs import (
     load_tag_graph,
     save_tag_graph,
 )
+from repro.graphs.mutable import EdgeRemove, MutableTagGraph
 
 # ----------------------------------------------------------------------
 # Reference implementations: the row loops
@@ -446,3 +447,17 @@ def test_writer_keeps_extreme_probabilities_exact(tmp_path):
         tmp_path / "ref.tsv"
     ).read_bytes()
     assert_bit_identical(load_tag_graph(tmp_path / "new.tsv"), graph)
+
+
+def test_writer_refuses_a_tagless_edge_before_writing(tmp_path):
+    """An edge with no tag rows cannot be written: a reload would
+    renumber every later edge. ``EdgeRemove`` leaves such an edge, and
+    ``compact()`` keeps it (edge ids survive compaction)."""
+    base = TagGraph(4, [0, 1, 2], [1, 2, 3], {"a": ([0, 1, 2], [0.5] * 3)})
+    mutable = MutableTagGraph(base)
+    mutable.apply([EdgeRemove(edge_id=1)])
+    mutable.compact()
+    path = tmp_path / "out.tsv"
+    with pytest.raises(GraphConstructionError, match="edge 1 has no tags"):
+        save_tag_graph(mutable.snapshot(), path)
+    assert not path.exists()

@@ -493,10 +493,11 @@ def test_joint_without_sampler_equals_bitparallel_engines(
     query = JointQuery(targets, k=3, r=2)
     config = JointConfig(**{**JOINT.__dict__, "seed_engine": seed_engine})
     plain = jointly_select(graph, query, config, rng=5)
-    assert plain.telemetry is None
     with SamplingEngine(mode="bitparallel", workers=1) as serial:
         with_serial = jointly_select(graph, query, config, rng=5,
                                      sampler=serial)
+    # No sampler means a fresh serial engine, counters included.
+    assert plain.telemetry == with_serial.telemetry
     with SamplingEngine(
         mode="bitparallel", workers=2, parallel_threshold=0
     ) as pooled:

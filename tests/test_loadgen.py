@@ -26,6 +26,7 @@ import pytest
 from repro.core.joint import JointConfig
 from repro.exceptions import ConfigurationError
 from repro.serve import CampaignServer
+from repro.serve.chaos import ServeFaultPlan
 from repro.serve.loadgen import (
     LOAD_SCHEMA,
     LoadSpec,
@@ -173,12 +174,19 @@ class TestRunRate:
         assert result.errors == 0
 
     def test_overload_ends_in_clean_rejections(self, fig9_graph):
-        """Past capacity every extra query is rejected, never lost."""
+        """Past capacity every extra query is rejected, never lost.
+
+        Every build sleeps 50 ms, so one worker with two queue slots is
+        past capacity at 500 queries/s however fast the kernels are.
+        """
         queries = synthesize_queries(
             fig9_graph,
             LoadSpec(**{**TINY.__dict__, "queries_per_rate": 30}),
         )
-        with _server(fig9_graph, pool_size=1, queue_capacity=2) as server:
+        slow = ServeFaultPlan(build_slow_rate=1.0, build_slow_seconds=0.05)
+        with _server(
+            fig9_graph, pool_size=1, queue_capacity=2, chaos=slow
+        ) as server:
             result = run_rate(server, queries, rate=500.0, open_loop=True)
         self._assert_exact(result, len(queries))
         assert result.errors == 0

@@ -23,6 +23,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.diffusion.cascade import simulate_cascade
 from repro.diffusion.exact import exact_spread
 from repro.diffusion.monte_carlo import estimate_spread
 from repro.engine import SamplingEngine
@@ -144,19 +145,29 @@ def test_calibration_survives_successive_epochs(fig9_graph, mode):
 
 def test_mc_estimators_agree_with_exact_on_edited_snapshot(fig9_graph):
     """Edited snapshots are first-class graphs for the MC paths too:
-    scalar loop and bit-parallel engine both land inside the gate on a
-    post-edit snapshot (tombstones, appended edge, rewritten probs)."""
+    the scalar oracle loop, the no-engine default and an explicit
+    bit-parallel engine all land inside the gate on a post-edit
+    snapshot (tombstones, appended edge, rewritten probs)."""
     mutable = MutableTagGraph(fig9_graph)
     mutable.apply(SHIFT_EDITS)
     snap = mutable.snapshot()
     exact = exact_spread(snap, FIG9_SEEDS, FIG9_TARGETS, ALL_TAGS)
     bound = hoeffding_bound(len(FIG9_TARGETS), THETA)
 
-    est_scalar = estimate_spread(
+    rng = np.random.default_rng(12345)
+    probs = snap.edge_probabilities(ALL_TAGS)
+    targets = np.asarray(FIG9_TARGETS, dtype=np.int64)
+    est_scalar = float(np.mean([
+        simulate_cascade(snap, FIG9_SEEDS, probs, rng)[targets].sum()
+        for _ in range(THETA)
+    ]))
+    assert abs(est_scalar - exact) <= bound
+
+    est_default = estimate_spread(
         snap, FIG9_SEEDS, FIG9_TARGETS, ALL_TAGS,
         num_samples=THETA, rng=12345,
     )
-    assert abs(est_scalar - exact) <= bound
+    assert abs(est_default - exact) <= bound
 
     with SamplingEngine(mode="bitparallel", workers=1) as engine:
         est_engine = estimate_spread(

@@ -262,6 +262,8 @@ class TestCountersEqualWork:
         assert ob.metrics.value("cascade.samples_drawn") == 50
 
     def test_scalar_rr_path_counts_identically(self, line_graph):
+        """The no-engine default (once the scalar loop) counts the
+        same logical work as an explicit engine."""
         from repro.sketch.rr_sets import sample_rr_sets_validated
 
         probs = line_graph.edge_probabilities(["a", "b", "c"])

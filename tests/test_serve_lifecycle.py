@@ -17,8 +17,10 @@ flight record on both. So, for the same requests:
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -226,3 +228,42 @@ class TestWarm:
         for op in ("apply_edits", "warm_index", "ping", "nope"):
             with pytest.raises(ReproError, match="query ops only"):
                 fleet.route_request({**EDIT, "op": op})
+
+
+class TestCloseFreesTheServer:
+    """A closed, dropped server and its graph are freed by reference
+    counting alone: the server owns no reference cycle (its cache and
+    breaker callbacks hold it weakly), so repeated set-ups do not pile
+    up servers until the cyclic GC runs."""
+
+    @pytest.mark.parametrize("kind", ["plain", "mutable", "engine"])
+    def test_closed_server_is_freed_without_the_cyclic_gc(self, kind):
+        from repro.engine import SamplingEngine
+
+        def run():
+            graph = _graph()
+            # "engine" is a fleet worker's set-up: an explicit serial
+            # engine that outlives the server.
+            kwargs = {
+                "plain": {},
+                "mutable": {"mutable": True},
+                "engine": {"sampler": SamplingEngine()},
+            }[kind]
+            server = CampaignServer(graph, config=CONFIG, **kwargs)
+            assert handle_request(server, dict(FIND_SEEDS))["ok"]
+            assert handle_request(server, {
+                "op": "spread", "seeds": [0, 3], "targets": TARGETS,
+                "tags": ["a"], "num_samples": 40, "seed": 1,
+            })["ok"]
+            assert server._breakers  # the callbacks are registered
+            server.close()
+            return weakref.ref(server), weakref.ref(graph)
+
+        gc.collect()
+        gc.disable()
+        try:
+            server_ref, graph_ref = run()
+            assert server_ref() is None
+            assert graph_ref() is None
+        finally:
+            gc.enable()

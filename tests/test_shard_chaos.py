@@ -149,19 +149,16 @@ class TestKillMidQuery:
 
         Chaos sleeps don't apply here (scatter builds bypass the asset
         cache), so the kill window comes from the build itself: a
-        pinned large θ on the scalar engine over a bigger graph keeps
-        every worker inside ``sample_rr_partition`` for hundreds of
+        pinned θ of 600k over a bigger graph keeps every worker inside
+        the bit-parallel ``sample_rr_partition`` for hundreds of
         milliseconds.
         """
         graph = make_graph(300, 2400)
         slow_theta = JointConfig(sketch=SketchConfig(
-            theta_min=16_000, theta_max=16_000, pilot_samples=50,
+            theta_min=600_000, theta_max=600_000, pilot_samples=50,
         ))
         service = ShardedCampaignService(
-            graph, workers=3,
-            spec=WorkerSpec(
-                config=slow_theta, engine_mode="scalar", pool_size=2
-            ),
+            graph, workers=3, spec=_spec(config=slow_theta),
         )
         try:
             request = request_for(50, scatter=True)

@@ -8,9 +8,11 @@ bit-identical to what one in-process :class:`~repro.serve.CampaignServer`
 
 Covered here:
 
-* all four query ops × {scalar, bitparallel} engines ×
+* all four query ops × {default, bitparallel} engines ×
   {1, 2, 4} workers, cold and warm (the warm repeat must be a cache
-  hit, proving ring affinity landed it on the same worker's cache);
+  hit, proving ring affinity landed it on the same worker's cache).
+  ``default`` passes no sampler and no ``engine_mode``, so each server
+  kind builds its own serial engine; ``bitparallel`` passes both;
 * scatter/gather ``find_seeds`` — the partitioned build + router-side
   greedy cover must reproduce the monolithic TRS answer exactly;
 * ``apply_edits`` epoch broadcast on a mutable fleet — same epoch on
@@ -37,7 +39,7 @@ from repro.sketch.theta import SketchConfig
 
 FAST_SKETCH = SketchConfig(theta_max=800, pilot_samples=30)
 CONFIG = JointConfig(sketch=FAST_SKETCH)
-ENGINES = ("scalar", "bitparallel")
+ENGINES = ("default", "bitparallel")
 FLEETS = (1, 2, 4)
 
 TARGETS = list(range(8, 20))
@@ -102,19 +104,23 @@ def engine_mode(request):
 
 @pytest.fixture(scope="module")
 def oracle(engine_mode):
-    sampler = SamplingEngine(mode=engine_mode, workers=1)
+    sampler = None
+    if engine_mode != "default":
+        sampler = SamplingEngine(mode=engine_mode, workers=1)
     server = CampaignServer(GRAPH, config=CONFIG, sampler=sampler)
     yield server
     server.close()
-    sampler.close()
+    if sampler is not None:
+        sampler.close()
 
 
 @pytest.fixture(scope="module", params=FLEETS)
 def fleet(request, engine_mode):
+    engine = {} if engine_mode == "default" else {"engine_mode": engine_mode}
     service = ShardedCampaignService(
         GRAPH,
         workers=request.param,
-        spec=WorkerSpec(config=CONFIG, engine_mode=engine_mode),
+        spec=WorkerSpec(config=CONFIG, **engine),
     )
     yield service
     service.close()

@@ -1,9 +1,11 @@
 """Statistical equivalence of every estimator path vs the exact oracle.
 
-Each Monte-Carlo spread estimate — scalar reference loop, serial
-bit-parallel engine, and multi-process engine — is compared against
-the possible-world enumeration of :mod:`repro.diffusion.exact` on the
-paper's small worked-example graphs.
+Each Monte-Carlo spread estimate — the scalar reference loop (a
+test-local :func:`~repro.diffusion.simulate_cascade` oracle), the
+no-engine default, the serial bit-parallel engine, and the
+multi-process engine — is compared against the possible-world
+enumeration of :mod:`repro.diffusion.exact` on the paper's small
+worked-example graphs.
 
 The tolerance is not a tuned constant: every per-cascade activated
 count lies in ``[0, |T|]``, so Hoeffding's inequality bounds the
@@ -24,6 +26,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.diffusion.cascade import simulate_cascade
 from repro.diffusion.exact import exact_spread
 from repro.diffusion.monte_carlo import estimate_spread
 from repro.engine import SamplingEngine
@@ -39,6 +42,17 @@ def hoeffding_bound(range_width: float, n: int) -> float:
     """Two-sided deviation bound for a mean of ``[0, range_width]`` i.i.d.
     samples: ``P(|mean − μ| > bound) ≤ DELTA``."""
     return range_width * math.sqrt(math.log(2.0 / DELTA) / (2.0 * n))
+
+
+def scalar_spread(graph, seeds, targets, tags, num_samples, rng) -> float:
+    """The scalar oracle: one lazy-coin cascade per sample, averaged."""
+    rng = np.random.default_rng(rng)
+    probs = graph.edge_probabilities(tags)
+    target_arr = np.asarray(sorted(set(targets)), dtype=np.int64)
+    return float(np.mean([
+        simulate_cascade(graph, seeds, probs, rng)[target_arr].sum()
+        for _ in range(num_samples)
+    ]))
 
 
 @pytest.fixture(scope="module")
@@ -71,18 +85,22 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("path", ["scalar", "bitparallel", "parallel"])
+@pytest.mark.parametrize(
+    "path", ["scalar", "default", "bitparallel", "parallel"]
+)
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[3]}")
 def test_mc_estimate_within_ci_of_exact(case, path, engines, request):
     fixture, seeds, targets, tags = case
     graph = request.getfixturevalue(fixture)
     exact = exact_spread(graph, seeds, targets, tags)
-    engine = None if path == "scalar" else engines[path]
 
-    est = estimate_spread(
-        graph, seeds, targets, tags,
-        num_samples=NUM_SAMPLES, rng=12345, engine=engine,
-    )
+    if path == "scalar":
+        est = scalar_spread(graph, seeds, targets, tags, NUM_SAMPLES, 12345)
+    else:
+        est = estimate_spread(
+            graph, seeds, targets, tags,
+            num_samples=NUM_SAMPLES, rng=12345, engine=engines.get(path),
+        )
 
     bound = hoeffding_bound(len(targets), NUM_SAMPLES)
     assert abs(est - exact) <= bound, (
@@ -128,13 +146,11 @@ def test_scalar_and_engine_agree_with_each_other(line_graph):
     """Cross-path closeness (both within a CI of exact implies within
     two CIs of each other) — checked directly for one case as a guard
     against correlated biases that happen to cancel against exact."""
-    est_scalar = estimate_spread(
+    est_scalar = scalar_spread(
+        line_graph, [0], [3], ["a", "b", "c"], NUM_SAMPLES, 99
+    )
+    est_engine = estimate_spread(
         line_graph, [0], [3], ["a", "b", "c"],
         num_samples=NUM_SAMPLES, rng=99,
     )
-    with SamplingEngine(mode="bitparallel", workers=1) as engine:
-        est_engine = estimate_spread(
-            line_graph, [0], [3], ["a", "b", "c"],
-            num_samples=NUM_SAMPLES, rng=99, engine=engine,
-        )
     assert abs(est_scalar - est_engine) <= 2 * hoeffding_bound(1, NUM_SAMPLES)
